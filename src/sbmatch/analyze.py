@@ -13,7 +13,6 @@ stationary law are exposed for convergence diagnostics.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +20,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .kernel import transition_row
+from .kernel import BOX_MAX_STATES, transition_table
+# Kept as a module attribute: the benchmark's layer tracer
+# (perfbench/tracing.py) wraps analyze.transition_row.
+from .kernel import transition_row  # noqa: F401
 from .model import ModelSpec, root_graph, stability
 from .policy import PolicyConfig, State, make_policy, sup_norm
 from .simulate import Trajectory, run
@@ -45,6 +47,7 @@ class TruncatedChain:
     states: tuple[State, ...]
     index: dict[State, int]
     P: sp.csr_matrix
+    PT: sp.csr_matrix  # P transposed, for the forward pushes of the solvers
     sup_norms: np.ndarray
     parity: np.ndarray
     boundary: np.ndarray  # sup norm within one unit of the cap
@@ -55,53 +58,24 @@ class TruncatedChain:
 
 
 def truncate(spec: ModelSpec, policy: PolicyConfig, cap: int,
-             max_states: int = 2_000_000) -> TruncatedChain:
-    """Build the truncated chain on the ball reachable from the origin."""
+             max_states: int = BOX_MAX_STATES) -> TruncatedChain:
+    """Build the truncated chain on the sup-norm ball of radius cap.
+
+    The raw kernel is built over the whole box {0..cap}^C and restricted to
+    the states reachable from the origin; states are in sorted order.
+    max_states bounds the box size (cap + 1) ** C and is checked before
+    anything is allocated.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    origin: State = (0,) * spec.n_classes
-    seen = {origin}
-    order = [origin]
-    queue = deque([origin])
-    rows: dict[State, tuple[tuple[State, float], ...]] = {}
-    while queue:
-        u = queue.popleft()
-        entries = transition_row(spec, policy, "raw", u).entries
-        rows[u] = entries
-        for y, p in entries:
-            if p > 0.0 and sup_norm(y) <= cap and y not in seen:
-                if len(seen) >= max_states:
-                    raise ValueError(f"truncation exceeds {max_states} states")
-                seen.add(y)
-                order.append(y)
-                queue.append(y)
-
-    states = tuple(sorted(order))
-    index = {x: k for k, x in enumerate(states)}
-    data: list[float] = []
-    ri: list[int] = []
-    ci: list[int] = []
-    for x, k in index.items():
-        keep = 0.0
-        for y, p in rows[x]:
-            if sup_norm(y) <= cap:
-                ri.append(k)
-                ci.append(index[y])
-                data.append(p)
-            else:
-                keep += p
-        if keep > 0.0:
-            ri.append(k)
-            ci.append(k)
-            data.append(keep)
-    n = len(states)
-    P = sp.csr_matrix((data, (ri, ci)), shape=(n, n))
-    norms = np.asarray([sup_norm(x) for x in states], dtype=np.int64)
-    parity = np.asarray([sum(x) & 1 for x in states], dtype=np.int64)
-    boundary = norms >= cap - 1
+    grid, P = transition_table(spec, policy, cap, max_states)
+    states = tuple(map(tuple, grid.tolist()))
+    norms = grid.max(axis=1).astype(np.int64)
     return TruncatedChain(spec=spec, policy=policy, cap=cap, states=states,
-                          index=index, P=P, sup_norms=norms, parity=parity,
-                          boundary=boundary)
+                          index={x: k for k, x in enumerate(states)},
+                          P=P, PT=P.T.tocsr(), sup_norms=norms,
+                          parity=grid.sum(axis=1).astype(np.int64) & 1,
+                          boundary=norms >= cap - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +102,9 @@ def _direct_solve(P: sp.csr_matrix) -> np.ndarray:
     return pi
 
 
-def _power_solve(P: sp.csr_matrix, tol: float, max_iter: int,
+def _power_solve(PT: sp.csr_matrix, tol: float, max_iter: int,
                  parity_average: bool) -> tuple[np.ndarray, int]:
-    n = P.shape[0]
-    PT = P.T.tocsr()
+    n = PT.shape[0]
     u = np.full(n, 1.0 / n)
     if not parity_average:
         for it in range(1, max_iter + 1):
@@ -169,7 +142,7 @@ def stationary(chain: TruncatedChain, method: str = "auto", tol: float = 1e-12,
         pi = _direct_solve(chain.P)
         iterations = 0
     elif method == "power":
-        pi, iterations = _power_solve(chain.P, tol, max_iter, parity_average)
+        pi, iterations = _power_solve(chain.PT, tol, max_iter, parity_average)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -223,9 +196,8 @@ def tv_periodic(chain: TruncatedChain, estimate: StationaryEstimate, t: int, l: 
     origin = (0,) * chain.spec.n_classes
     d = np.zeros(chain.n_states)
     d[chain.index[origin]] = 1.0
-    PT = chain.P.T.tocsr()
     for _ in range(2 * t + l):
-        d = PT @ d
+        d = chain.PT @ d
     target = estimate.pi_even if l == 0 else estimate.pi_odd
     return float(np.abs(d - target).sum())
 

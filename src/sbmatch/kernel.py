@@ -21,8 +21,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
+
 from .model import ModelSpec, root_graph, stability
-from .policy import PolicyConfig, State, select_class, support, sup_norm, sup_norm_over
+from .policy import (WEIGHT_TOL, PolicyConfig, State, select_class, support, sup_norm,
+                     sup_norm_over)
 
 INEQ_TOL = 1e-9
 
@@ -349,6 +354,78 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
     return ChainReport(state=x, steps=tuple(steps))
 
 
+#: Default bound on the number of states in the box {0..cap}^C.
+BOX_MAX_STATES = 2_000_000
+
+
+def transition_table(spec: ModelSpec, policy: PolicyConfig, cap: int,
+                     max_states: int = BOX_MAX_STATES) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The raw kernel on the states of the box {0..cap}^C reachable from the
+    origin, as (grid, P).
+
+    grid holds one count vector per state, in sorted (lexicographic) order
+    with the origin first, and P is the transition matrix in that order.
+    The kernel is built over the whole box at once and then restricted; an
+    increment that would leave the box folds into a self-loop.
+
+    The weights and miss probabilities come from the scalar weight and
+    pow_int, and every sum runs in transition_row's order, so each entry is
+    bit-identical to the scalar row: decrements to the same class
+    accumulate over ascending arrival classes, and the folded self-loop sums
+    increments over descending classes (the order of the sorted row).
+    max_states bounds the box size (cap + 1) ** C before anything is
+    allocated.
+    """
+    if cap < 0:
+        raise KernelError("cap must be non-negative")
+    C = spec.n_classes
+    side = cap + 1
+    if side ** C > max_states:
+        raise KernelError(f"the box {{0..{cap}}}^{C} exceeds {max_states} states")
+    rho = spec.rho
+    weight = np.asarray([[[float(policy.weight(k, rho[i][j])) for k in range(side)]
+                          for j in range(C)] for i in range(C)])
+    miss = np.asarray([[[pow_int(1.0 - rho[i][j], k) for k in range(side)]
+                        for j in range(C)] for i in range(C)])
+    alpha = np.asarray(policy.alpha)
+
+    X = np.indices((side,) * C).reshape(C, -1).T  # C order = sorted tuples
+    N = X.shape[0]
+    rows = np.arange(N)
+    cols = np.arange(C)
+    p_yes = np.zeros((N, C))  # merged per target class
+    p_no = np.empty((N, C))  # per arrival class
+    for i in range(C):
+        w = weight[i, cols, X]
+        tied = w >= w.max(axis=1, keepdims=True) - WEIGHT_TOL
+        j = np.argmax(np.where(tied, alpha, -1), axis=1)
+        m = miss[i, j, X[rows, j]]
+        p_yes[rows, j] += spec.nu[i] * (1.0 - m)
+        p_no[:, i] = spec.nu[i] * m
+    at_cap = X == cap
+    fold = np.zeros(N)
+    for i in range(C - 1, -1, -1):
+        fold += np.where(at_cap[:, i], p_no[:, i], 0.0)
+
+    stride = side ** np.arange(C - 1, -1, -1)
+    src = np.concatenate([np.repeat(rows, C), np.repeat(rows, C), rows])
+    dst = np.concatenate([(rows[:, None] - stride).ravel(),
+                          (rows[:, None] + stride).ravel(), rows])
+    val = np.concatenate([p_yes.ravel(), np.where(at_cap, 0.0, p_no).ravel(), fold])
+    keep = val > 0.0
+    src, dst, val = src[keep], dst[keep], val[keep]
+
+    box = sp.csr_matrix((val, (src, dst)), shape=(N, N))
+    reached = np.zeros(N, dtype=bool)
+    reached[breadth_first_order(box, 0, return_predecessors=False)] = True
+    renumber = np.cumsum(reached) - 1
+    n = int(reached.sum())
+    keep = reached[src]
+    P = sp.coo_matrix((val[keep], (renumber[src[keep]], renumber[dst[keep]])),
+                      shape=(n, n)).tocsr()
+    return X[reached], P
+
+
 @dataclass(frozen=True)
 class ReachabilityReport:
     cap: int
@@ -362,41 +439,18 @@ def reachable_check(spec: ModelSpec, policy: PolicyConfig, cap: int) -> Reachabi
     cap and verify every reached state has a positive-probability path back.
 
     Requires every class to have at least one compatible class, since an
-    isolated class blocks all returns once one of its nodes arrives.
+    isolated class blocks all returns once one of its nodes arrives, and a
+    box (cap + 1) ** C of at most BOX_MAX_STATES states.
     """
     graph = root_graph(spec)
     for i in range(graph.n_classes):
         if not any(graph.adjacency[i]):
             raise KernelError(f"class {spec.classes[i]!r} is isolated in the compatibility graph")
-    origin = (0,) * spec.n_classes
-    forward: dict[State, list[State]] = {}
-    queue = deque([origin])
-    seen = {origin}
-    while queue:
-        u = queue.popleft()
-        succs = []
-        for y, p in transition_row(spec, policy, "raw", u).entries:
-            if p > 0.0 and sup_norm(y) <= cap:
-                succs.append(y)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        forward[u] = succs
-
-    reverse: dict[State, list[State]] = {u: [] for u in seen}
-    for u, succs in forward.items():
-        for y in succs:
-            reverse[y].append(u)
-    can_return = {origin}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        for v in reverse[u]:
-            if v not in can_return:
-                can_return.add(v)
-                queue.append(v)
-    missing = tuple(sorted(seen - can_return))
-    return ReachabilityReport(cap=cap, states_explored=len(seen),
+    grid, P = transition_table(spec, policy, cap)
+    back = np.zeros(len(grid), dtype=bool)
+    back[breadth_first_order(P.T, 0, return_predecessors=False)] = True
+    missing = tuple(map(tuple, grid[~back].tolist()))
+    return ReachabilityReport(cap=cap, states_explored=len(grid),
                               all_return=not missing, unreturned=missing)
 
 

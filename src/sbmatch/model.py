@@ -173,10 +173,11 @@ def root_graph(spec: ModelSpec) -> RootGraph:
         return RootGraph(spec.classes, adjacency, selfloop, loopfree, None, None)
     rho_min = min(positive)
 
-    # n * (1 - rho_min) ** n peaks near -1 / log(1 - rho_min); scanning to
-    # max(1000, 4 / rho_min) covers the peak with a wide margin.
-    n_max = max(1000, math.ceil(4.0 / rho_min))
-    ns = np.arange(n_max + 1, dtype=float)
+    # n * (1 - rho_min) ** n is log-concave in n with its real maximum at
+    # -1 / log1p(-rho_min) (0 when rho_min = 1), so the integer maximum sits
+    # at the floor or the ceiling of that point.
+    peak = -1.0 / math.log1p(-rho_min) if rho_min < 1.0 else 0.0
+    ns = np.array([math.floor(peak), math.ceil(peak)], dtype=float)
     K = float(np.max(ns * (1.0 - rho_min) ** ns))
     return RootGraph(spec.classes, adjacency, selfloop, loopfree, rho_min, K)
 

@@ -8,12 +8,14 @@ so the library is never checked against itself.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sbmatch import ModelSpec, make_spec
+from sbmatch import ModelSpec, make_spec, transition_row
 from sbmatch import scenarios
 
 
@@ -90,3 +92,79 @@ def random_model(rng: np.random.Generator, max_classes: int = 4) -> ModelSpec:
 
 def random_state(rng: np.random.Generator, n_classes: int, high: int = 12) -> tuple[int, ...]:
     return tuple(int(v) for v in rng.integers(0, high + 1, size=n_classes))
+
+
+def scalar_truncate(spec: ModelSpec, policy, cap: int):
+    """The truncated chain by breadth-first search from the origin, one
+    scalar transition row per state.
+
+    Returns (states, index, P, sup_norms, parity, boundary) as truncate
+    builds them; arrivals that would leave the ball fold into a self-loop.
+    """
+    origin = (0,) * spec.n_classes
+    seen = {origin}
+    queue = deque([origin])
+    rows = {}
+    while queue:
+        u = queue.popleft()
+        entries = transition_row(spec, policy, "raw", u).entries
+        rows[u] = entries
+        for y, p in entries:
+            if p > 0.0 and max(y) <= cap and y not in seen:
+                seen.add(y)
+                queue.append(y)
+
+    states = tuple(sorted(seen))
+    index = {x: k for k, x in enumerate(states)}
+    data, ri, ci = [], [], []
+    for x, k in index.items():
+        keep = 0.0
+        for y, p in rows[x]:
+            if max(y) <= cap:
+                ri.append(k)
+                ci.append(index[y])
+                data.append(p)
+            else:
+                keep += p
+        if keep > 0.0:
+            ri.append(k)
+            ci.append(k)
+            data.append(keep)
+    n = len(states)
+    P = sp.csr_matrix((data, (ri, ci)), shape=(n, n))
+    norms = np.asarray([max(x) for x in states], dtype=np.int64)
+    parity = np.asarray([sum(x) & 1 for x in states], dtype=np.int64)
+    return states, index, P, norms, parity, norms >= cap - 1
+
+
+def scalar_reachable(spec: ModelSpec, policy, cap: int):
+    """(states explored, states with no path back to the origin) by forward
+    and reverse breadth-first search inside the sup-norm ball."""
+    origin = (0,) * spec.n_classes
+    forward = {}
+    queue = deque([origin])
+    seen = {origin}
+    while queue:
+        u = queue.popleft()
+        succs = []
+        for y, p in transition_row(spec, policy, "raw", u).entries:
+            if p > 0.0 and max(y) <= cap:
+                succs.append(y)
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        forward[u] = succs
+
+    reverse = {u: [] for u in seen}
+    for u, succs in forward.items():
+        for y in succs:
+            reverse[y].append(u)
+    can_return = {origin}
+    queue = deque([origin])
+    while queue:
+        u = queue.popleft()
+        for v in reverse[u]:
+            if v not in can_return:
+                can_return.add(v)
+                queue.append(v)
+    return len(seen), tuple(sorted(seen - can_return))

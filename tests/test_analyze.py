@@ -11,6 +11,7 @@ from sbmatch import (
     invariant_mean_bound,
     make_policy,
     metrics,
+    reachable_check,
     run_replicas,
     scenarios,
     stationary,
@@ -18,6 +19,8 @@ from sbmatch import (
     tv_periodic,
 )
 from sbmatch.policy import W1, W2
+
+from conftest import scalar_reachable, scalar_truncate
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,48 @@ def test_truncate_guards():
         truncate(tri, pol, 0)
     with pytest.raises(ValueError, match="states"):
         truncate(tri, pol, 12, max_states=10)
+
+
+ORACLE_CASES = [(name, weight, cap)
+                for name in ("triangle", "mixed_selfloop", "single_selfloop")
+                for weight in (W1, W2) for cap in (1, 4, 5, 12)]
+
+
+@pytest.mark.parametrize("name,weight,cap",
+                         ORACLE_CASES + [("bipartite_rho1", W1, 6)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_truncate_matches_scalar_oracle(name, weight, cap):
+    # rho = 1 on the bipartite model leaves every state with both counts
+    # positive unreachable, so the box is only partly reached
+    spec = scenarios.bipartite(r=1.0) if name == "bipartite_rho1" else getattr(scenarios, name)()
+    pol = make_policy(spec, weight)
+    ch = truncate(spec, pol, cap)
+    states, index, P, norms, parity, boundary = scalar_truncate(spec, pol, cap)
+    assert np.array_equal(ch.P.indptr, P.indptr)
+    assert np.array_equal(ch.P.indices, P.indices)
+    assert np.array_equal(ch.P.data.view(np.int64), P.data.view(np.int64))
+    assert ch.states == states
+    assert ch.index == index
+    assert np.array_equal(ch.parity, parity)
+    assert np.array_equal(ch.sup_norms, norms)
+    assert np.array_equal(ch.boundary, boundary)
+    rep = reachable_check(spec, pol, cap)
+    assert (rep.states_explored, rep.unreturned) == scalar_reachable(spec, pol, cap)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_single_selfloop_matches_birth_death_product_form(p):
+    # one class: up with probability (1-p)^x, down with 1-(1-p)^x, so
+    # detailed balance gives pi(x+1)/pi(x) = (1-p)^x / (1-(1-p)^(x+1));
+    # the up-move at the cap folds into a self-loop and leaves it intact
+    solo = scenarios.single_selfloop(p)
+    ch = truncate(solo, make_policy(solo), 30)
+    weights = [1.0]
+    for x in range(30):
+        weights.append(weights[-1] * (1.0 - p) ** x / (1.0 - (1.0 - p) ** (x + 1)))
+    expected = np.asarray(weights) / sum(weights)
+    assert ch.states == tuple((x,) for x in range(31))
+    np.testing.assert_allclose(stationary(ch, "direct").pi, expected, rtol=0.0, atol=1e-12)
 
 
 def test_two_state_chain_solved_exactly():

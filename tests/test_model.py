@@ -1,6 +1,7 @@
 """Model validation, root-graph derivation, and stability margins."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,32 @@ def test_root_graph_constants_single_selfloop(solo_spec):
     graph = root_graph(solo_spec)
     assert graph.rho_min == pytest.approx(0.5)
     assert graph.K == pytest.approx(0.5)
+
+
+def _scanned_K(r: float) -> float:
+    """max of n (1 - r)^n over every n in 0..max(1000, 4 / r)."""
+    n_max = max(1000, math.ceil(4.0 / r))
+    ns = np.arange(n_max + 1, dtype=float)
+    return float(np.max(ns * (1.0 - r) ** ns))
+
+
+@pytest.mark.parametrize("r", [1.0, 0.99, 0.7, 0.5, 0.3, 0.1, 1e-2, 1e-3, 3.7e-4, 1e-5])
+def test_root_graph_K_matches_dense_scan(r):
+    spec = make_spec(("a", "b"), (0.5, 0.5), ((0.0, r), (r, 0.0)))
+    assert root_graph(spec).K == _scanned_K(r)
+
+
+def test_root_graph_K_tiny_rho_min_without_large_allocation():
+    spec = make_spec(("a", "b"), (0.5, 0.5), ((0.0, 1e-8), (1e-8, 0.0)))
+    tracemalloc.start()
+    try:
+        graph = root_graph.__wrapped__(spec)  # bypass the cache
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the maximum of n (1 - r)^n is about 1 / (e r)
+    assert graph.K == pytest.approx(1.0 / (math.e * 1e-8), rel=1e-6)
 
 
 def test_root_graph_all_zero_rho_has_no_rho_min():

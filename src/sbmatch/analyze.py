@@ -25,7 +25,7 @@ from .kernel import BOX_MAX_STATES, transition_table
 # (perfbench/tracing.py) wraps analyze.transition_row.
 from .kernel import transition_row  # noqa: F401
 from .model import ModelSpec, root_graph, stability
-from .policy import PolicyConfig, State, make_policy, sup_norm
+from .policy import W1, PolicyConfig, State, make_policy, sup_norm
 from .simulate import Trajectory, run
 
 # LU fill-in, not the state count, is what makes the direct solve explode
@@ -277,8 +277,6 @@ def eta_sweep(entries: Sequence[tuple[str, ModelSpec]], T: int, base_seed: int,
     Each model gets its own policy (the threshold depends on its rho_min) and
     its own seed block (base_seed, row, replica).
     """
-    from .policy import W1
-
     rows: list[SweepRow] = []
     for row_idx, (label, spec) in enumerate(entries):
         stab = stability(spec)

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -65,89 +66,113 @@ class ScenarioConfig:
     sweep_replicas: int
 
 
+def _typed(node, kind: type, what: str):
+    if not isinstance(node, kind):
+        raise ConfigError(f"{what} must be a {kind.__name__}, got {node!r}")
+    return node
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_nu_entry(v):
     if isinstance(v, str):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad nu entry {v!r}: {exc}") from exc
-    if isinstance(v, (int, float)):
-        return float(v)
+    if _is_number(v):
+        return v
     raise ConfigError(f"bad nu entry {v!r}")
 
 
-def _parse_model(node: dict) -> ModelSpec:
+def _parse_model(node) -> ModelSpec:
     try:
-        classes = node["classes"]
-        nu_raw = node["nu"]
-        rho = node["rho"]
+        classes, nu_raw, rho = node["classes"], node["nu"], node["rho"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"model section needs classes, nu, rho: {exc}") from exc
-    nu = [_parse_nu_entry(v) for v in nu_raw]
-    if all(isinstance(v, Fraction) for v in nu):
-        nu_vals: Sequence = nu
-    else:
-        nu_vals = [float(v) for v in nu]
+    for label in _typed(classes, list, "classes"):
+        if not (isinstance(label, str) or _is_number(label)):
+            raise ConfigError(f"class labels must be strings or numbers, got {label!r}")
+    nu = [_parse_nu_entry(v) for v in _typed(nu_raw, list, "nu")]
+    for row in _typed(rho, list, "rho"):
+        for v in _typed(row, list, "a rho row"):
+            if not _is_number(v):
+                raise ConfigError(f"rho entries must be numbers, got {v!r}")
     try:
-        return make_spec(classes, nu_vals, rho)
-    except InvalidModelError as exc:
+        return make_spec(classes, nu, rho)
+    except (InvalidModelError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _alpha_from_labels(spec: ModelSpec, labels: Sequence) -> tuple[int, ...]:
+def _alpha_from_labels(spec: ModelSpec, labels) -> tuple[int, ...]:
     """Priority list (highest first) to alpha values (largest wins ties)."""
-    if sorted(map(str, labels)) != sorted(map(str, spec.classes)):
+    index = [k for label in _typed(labels, list, "alpha")
+             for k, c in enumerate(spec.classes) if c == label]
+    if sorted(index) != list(range(spec.n_classes)) or len(index) != len(labels):
         raise ConfigError("alpha must list every class label exactly once")
-    n = spec.n_classes
-    values = [0] * n
-    for pos, label in enumerate(labels):
-        values[spec.classes.index(label)] = n - pos
+    values = [0] * spec.n_classes
+    for pos, k in enumerate(index):
+        values[k] = spec.n_classes - pos
     return tuple(values)
 
 
 def load_config(path: str) -> ScenarioConfig:
+    """Parse and validate a JSON config.  Every malformed config raises
+    ConfigError, which the CLI reports with exit status 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if "model" not in raw:
+    if "model" not in _typed(raw, dict, "the config"):
         raise ConfigError("config has no model section")
     spec = _parse_model(raw["model"])
 
-    pol = raw.get("policy", {})
+    pol = _typed(raw.get("policy", {}), dict, "policy")
     weight_id = pol.get("weight", "w1")
-    if weight_id not in BUILTIN_WEIGHTS:
+    if not isinstance(weight_id, str) or weight_id not in BUILTIN_WEIGHTS:
         raise ConfigError(f"unknown weight {weight_id!r} (choose from {sorted(BUILTIN_WEIGHTS)})")
     weight = BUILTIN_WEIGHTS[weight_id]
     alpha = _alpha_from_labels(spec, pol["alpha"]) if "alpha" in pol else None
-    n_check = int(pol.get("n_check", 10_000))
+    n_check = _int(pol.get("n_check", 10_000), "policy.n_check")
 
-    rn = raw.get("run", {})
+    rn = _typed(raw.get("run", {}), dict, "run")
     walk_set = None
     if rn.get("walk_set"):
         try:
-            walk_set = tuple(spec.classes.index(lb) for lb in rn["walk_set"])
+            labels = _typed(rn["walk_set"], list, "walk_set")
+            walk_set = tuple(spec.classes.index(lb) for lb in labels)
         except ValueError as exc:
             raise ConfigError(f"walk_set labels must be class labels: {exc}") from exc
     run_params = RunParams(
-        T=int(rn.get("T", 10_000)),
-        replicas=int(rn.get("replicas", 1)),
-        base_seed=int(rn["base_seed"]) if "base_seed" in rn else None,
-        sample_every=int(rn["sample_every"]) if rn.get("sample_every") is not None else None,
+        T=_int(rn.get("T", 10_000), "run.T"),
+        replicas=_int(rn.get("replicas", 1), "run.replicas"),
+        base_seed=_int(rn["base_seed"], "run.base_seed") if "base_seed" in rn else None,
+        sample_every=_int(rn["sample_every"], "run.sample_every")
+        if rn.get("sample_every") is not None else None,
         walk_set=walk_set,
     )
 
-    an = raw.get("analyze", {})
+    an = _typed(raw.get("analyze", {}), dict, "analyze")
     analyze_params = AnalyzeParams(
-        cap=int(an.get("cap", 30)),
-        max_norm=int(an.get("max_norm", 10)),
+        cap=_int(an.get("cap", 30), "analyze.cap"),
+        max_norm=_int(an.get("max_norm", 10), "analyze.max_norm"),
         solver=str(an.get("solver", "auto")),
     )
 
-    sw = raw.get("sweep", {})
+    sw = _typed(raw.get("sweep", {}), dict, "sweep")
     sweep_models = []
-    for entry in sw.get("models", []):
+    for entry in _typed(sw.get("models", []), list, "sweep.models"):
         try:
             sweep_models.append((str(entry["id"]), _parse_model(entry["model"])))
         except (KeyError, TypeError) as exc:
@@ -156,8 +181,8 @@ def load_config(path: str) -> ScenarioConfig:
         spec=spec, weight=weight, alpha=alpha, n_check=n_check,
         run=run_params, analyze=analyze_params,
         sweep_models=tuple(sweep_models),
-        sweep_T=int(sw.get("T", run_params.T)),
-        sweep_replicas=int(sw.get("replicas", run_params.replicas)),
+        sweep_T=_int(sw.get("T", run_params.T), "sweep.T"),
+        sweep_replicas=_int(sw.get("replicas", run_params.replicas), "sweep.replicas"),
     )
 
 
@@ -171,22 +196,21 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    finally:
-        if close:
-            fh.close()
 
 
 def _labels(spec: ModelSpec, members) -> list[str]:
@@ -213,13 +237,8 @@ def cmd_ncond(cfg: ScenarioConfig, out: str | None) -> int:
             "sigma2": ws.sigma2,
             "c_bound": ws.c_bound,
         }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    fh, close = _open_out(out)
-    try:
-        fh.write(text)
-    finally:
-        if close:
-            fh.close()
+    with _output(out) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -297,10 +316,10 @@ def cmd_simulate(cfg: ScenarioConfig, out: str | None, seed_override: int | None
         + ["sup_norm", "matched_pairs", "perfect"]
     if cfg.run.walk_set is not None:
         header.append("walk_S")
+    trajs = simulate.run_replicas(spec, policy, cfg.run.T, base_seed, cfg.run.replicas,
+                                  sample_every=cfg.run.sample_every, track_walks=walks)
     rows = []
-    for rep in range(cfg.run.replicas):
-        tr = simulate.run(spec, policy, cfg.run.T, (base_seed, rep),
-                          sample_every=cfg.run.sample_every, track_walks=walks)
+    for rep, tr in enumerate(trajs):
         walk = tr.walks[frozenset(cfg.run.walk_set)] if cfg.run.walk_set is not None else None
         for k, t in enumerate(tr.t_grid):
             row = [rep, int(t)] + [int(v) for v in tr.x[k]] \

@@ -99,6 +99,15 @@ class TransitionRow:
         return sum(p for _, p in self.entries)
 
 
+def _arrival_moves(spec: ModelSpec, policy: PolicyConfig, var: KernelVariant, x: State):
+    """Per arrival class i: the targeted class j, the probability of a match
+    there (a decrement of j) and of none (an increment of i)."""
+    for i in range(spec.n_classes):
+        j = select_class(policy.weight, policy.alpha, x, var.rho[i])
+        miss = pow_int(1.0 - var.rho[i][j], x[j])
+        yield i, j, spec.nu[i] * (1.0 - miss), spec.nu[i] * miss
+
+
 def transition_row(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int]) -> TransitionRow:
     """The full transition row out of x for the given kernel variant.
 
@@ -109,13 +118,8 @@ def transition_row(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[i
     x = tuple(int(v) for v in x)
     if any(v < 0 for v in x):
         raise KernelError("negative count")
-    n = spec.n_classes
     probs: dict[State, float] = {}
-    for i in range(n):
-        j = select_class(policy.weight, policy.alpha, x, var.rho[i])
-        miss = pow_int(1.0 - var.rho[i][j], x[j])
-        p_no = spec.nu[i] * miss
-        p_yes = spec.nu[i] * (1.0 - miss)
+    for i, j, p_yes, p_no in _arrival_moves(spec, policy, var, x):
         if p_yes > 0.0:
             y = x[:j] + (x[j] - 1,) + x[j + 1:]
             probs[y] = probs.get(y, 0.0) + p_yes
@@ -139,15 +143,9 @@ def drift(spec: ModelSpec, policy: PolicyConfig, variant, h: Callable[[State], f
 def drift_q(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int]) -> float:
     """Drift of q(x) = sum x(i)^2 via the closed form
     1 + sum_i 2 x(i) P(x, x + e_i) - sum_j 2 x(j) P(x, x - e_j)."""
-    var = _resolve_variant(spec, variant)
     x = tuple(int(v) for v in x)
-    n = spec.n_classes
     total = 0.0
-    for i in range(n):
-        j = select_class(policy.weight, policy.alpha, x, var.rho[i])
-        miss = pow_int(1.0 - var.rho[i][j], x[j])
-        p_no = spec.nu[i] * miss
-        p_yes = spec.nu[i] * (1.0 - miss)
+    for i, j, p_yes, p_no in _arrival_moves(spec, policy, _resolve_variant(spec, variant), x):
         total += p_no * (2 * x[i] + 1) + p_yes * (1 - 2 * x[j])
     return total
 
@@ -318,8 +316,8 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
     d_hom_thr = drift_q(spec, policy, "homogenized", threshold_map(x, ns))
     steps.append(_checked("threshold", d_raw, d_hom_thr + 2.0 * ns))
 
+    d_hom = drift_q(spec, policy, "homogenized", x) if counts_ok else None
     if counts_ok:
-        d_hom = drift_q(spec, policy, "homogenized", x)
         stripped = restrict_support(x, graph.loopfree_classes)
         drained = sum(2.0 * x[i] * spec.nu[i] for i in graph.selfloop_classes)
         rhs = drift_q(spec, policy, "homogenized", stripped) \
@@ -329,7 +327,6 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
         steps.append(_skipped("selfloops"))
 
     if loopfree_ok and counts_ok:
-        d_hom = drift_q(spec, policy, "homogenized", x)
         reduced = reduce_to_independent_support(spec, policy, x)
         steps.append(_checked("independent", d_hom,
                               drift_q(spec, policy, "homogenized", reduced) + 2.0 * graph.K))
@@ -337,7 +334,6 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
         steps.append(_skipped("independent"))
 
     if loopfree_ok and counts_ok and indep_ok:
-        d_hom = drift_q(spec, policy, "homogenized", x)
         steps.append(_checked("certain_match", d_hom,
                               drift_q(spec, policy, "binarized", x) + 2.0 * graph.K))
     else:

@@ -35,8 +35,7 @@ class ModelSpec:
     """Immutable model: class labels, arrival law nu, compatibility matrix rho.
 
     nu_exact carries the arrival probabilities as fractions when the model was
-    built from rational input, in which case the stability margin is computed
-    in exact arithmetic.
+    built from rational input; the stability margin then uses them as given.
     """
 
     classes: tuple
@@ -81,7 +80,8 @@ class StabilityReport:
     eta is the minimum of nu(N(I)) - nu(I) over non-empty independent sets I
     of the compatibility graph, +inf when there is no such set.  The chain is
     positive recurrent under the greedy policies exactly when eta > 0, which
-    is what the ncond flag records.
+    is what the ncond flag records.  eta_exact is the margin as a fraction,
+    None when eta is +inf.
     """
 
     eta: float
@@ -124,7 +124,7 @@ def make_spec(classes: Sequence, nu: Sequence, rho: Sequence[Sequence[float]]) -
     """Build and validate a ModelSpec.
 
     nu entries may be floats or Fractions.  Fractions are kept alongside the
-    float values so that the stability margin can be computed exactly.
+    float values, and the stability margin uses them as given.
     """
     classes = tuple(classes)
     if len(classes) == 0:
@@ -137,7 +137,7 @@ def make_spec(classes: Sequence, nu: Sequence, rho: Sequence[Sequence[float]]) -
     nu_f = tuple(float(v) for v in nu)
     if len(nu_f) != len(classes):
         raise InvalidModelError("nu length does not match the number of classes")
-    if any(v <= 0.0 for v in nu_f):
+    if not all(v > 0.0 for v in nu_f):  # also rejects NaN
         raise InvalidModelError("nu must be strictly positive")
     if exact:
         if sum(nu_exact) != 1:
@@ -190,16 +190,18 @@ def neighborhood(graph: RootGraph, subset: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+def _neighbour_masks(graph: RootGraph) -> list[int]:
+    """The neighbourhood of each class as a bitmask."""
+    n = graph.n_classes
+    return [sum(1 << j for j in range(n) if graph.adjacency[i][j]) for i in range(n)]
+
+
 def _independent_set_masks(graph: RootGraph) -> list[int]:
     """All non-empty independent sets as bitmasks, in lexicographic order."""
     n = graph.n_classes
     if n > ENUMERATION_CAP:
         raise InvalidModelError(f"independent-set enumeration capped at {ENUMERATION_CAP} classes, got {n}")
-    nb = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if graph.adjacency[i][j]:
-                nb[i] |= 1 << j
+    nb = _neighbour_masks(graph)
     free = [i for i in range(n) if not (nb[i] >> i) & 1]
 
     masks: list[int] = []
@@ -228,7 +230,10 @@ def stability(spec: ModelSpec) -> StabilityReport:
 
     With no independent set the minimum is vacuous and eta is +inf, since no
     class can then starve a neighborhood; the ncond flag is true in that case.
-    Uses exact fraction arithmetic whenever the spec carries exact nu.
+    The margin is computed in fraction arithmetic: from nu_exact when the
+    spec carries it, else from the decimal form of each float rate, so a
+    critical model is never certified stable by float rounding.  eta is the
+    float of the exact margin eta_exact.
     """
     graph = root_graph(spec)
     n = graph.n_classes
@@ -238,21 +243,15 @@ def stability(spec: ModelSpec) -> StabilityReport:
         return StabilityReport(eta=math.inf, ncond=True, independent_sets=(),
                                minimizer=None, eta_exact=None)
 
-    nb = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if graph.adjacency[i][j]:
-                nb[i] |= 1 << j
+    nb = _neighbour_masks(graph)
+    exact = spec.nu_exact if spec.nu_exact is not None \
+        else tuple(Fraction(str(v)) for v in spec.nu)
+    # Margins are summed as integers in units of 1/den, the common denominator.
+    den = math.lcm(*(v.denominator for v in exact))
+    units = [int(v * den) for v in exact]
 
-    exact = spec.nu_exact is not None
-    weights = spec.nu_exact if exact else spec.nu
-
-    def mass(mask: int):
-        total = Fraction(0) if exact else 0.0
-        for i in range(n):
-            if (mask >> i) & 1:
-                total += weights[i]
-        return total
+    def mass(mask: int) -> int:
+        return sum(units[i] for i in range(n) if (mask >> i) & 1)
 
     best = None
     best_idx = -1
@@ -267,10 +266,8 @@ def stability(spec: ModelSpec) -> StabilityReport:
         if best is None or margin < best:
             best, best_idx = margin, idx
 
-    eta_exact = best if exact else None
-    eta = float(best)
-    ncond = (best > 0) if exact else (eta > 0.0)
-    return StabilityReport(eta=eta, ncond=ncond, independent_sets=sets,
+    eta_exact = Fraction(best, den)
+    return StabilityReport(eta=float(eta_exact), ncond=best > 0, independent_sets=sets,
                            minimizer=sets[best_idx], eta_exact=eta_exact)
 
 
@@ -287,10 +284,8 @@ def walk_spec(spec: ModelSpec, independent_set: Iterable[int]) -> WalkSpec:
     for i in members:
         if not 0 <= i < graph.n_classes:
             raise InvalidModelError(f"class index {i} out of range")
-    for i in members:
-        for j in members:
-            if graph.adjacency[i][j]:
-                raise InvalidModelError("the set is not independent in the compatibility graph")
+    if any(graph.adjacency[i][j] for i in members for j in members):
+        raise InvalidModelError("the set is not independent in the compatibility graph")
 
     hood = neighborhood(graph, members)
     nu_in = sum(spec.nu[i] for i in members)

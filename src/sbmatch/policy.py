@@ -69,14 +69,14 @@ class WeightFunction:
 
 
 def _w1(n, r: float):
-    if np.ndim(n) == 0:
+    if type(n) is int or np.ndim(n) == 0:
         return float(n) if r > 0.0 else 0.0
     n = np.asarray(n, dtype=float)
     return n.copy() if r > 0.0 else np.zeros_like(n)
 
 
 def _w2(n, r: float):
-    if np.ndim(n) == 0:
+    if type(n) is int or np.ndim(n) == 0:
         n = float(n)
         return n * (1.0 - (1.0 - r) ** n)
     n = np.asarray(n, dtype=float)
@@ -240,12 +240,12 @@ def select_class(weight: WeightFunction, alpha: Sequence[int], x: Sequence[int],
     wins.  For integer-valued weights such as w1 this reduces to exact
     lexicographic comparison.
     """
-    ws = [float(weight(x[j], rho_row[j])) for j in range(len(x))]
-    w_max = max(ws)
+    ws = [float(weight.fn(n, r)) for n, r in zip(x, rho_row)]  # .fn: no __call__ frame
+    w_floor = max(ws) - tol
     best = -1
     best_alpha = -1
     for j, wj in enumerate(ws):
-        if wj >= w_max - tol and alpha[j] > best_alpha:
+        if wj >= w_floor and alpha[j] > best_alpha:
             best, best_alpha = j, alpha[j]
     return best
 

@@ -7,6 +7,14 @@ a truncated geometric draw.  The full-graph engine materializes every node
 and every edge indicator and serves as a ground-truth oracle at small
 horizons, including an exact enumeration of all of its randomness.
 
+run and final_states share one per-arrival core (_LazyPath).  Its seeded
+paths equal those of the plain reference loop: the arrival classes are drawn
+up front, the greedy choice is select_class's, and each distinct positive
+rho value has its own buffer of rng.geometric(r, size=GEOM_BLOCK) blocks,
+drawn in order of need.  Only the cost differs: the choice is memoised on
+(c, *x), with at most CHOICE_MEMO_MAX entries per memo; past that bound,
+choices are computed without being stored.
+
 Streams are split by seed tuple: replica r of a batch with base seed s draws
 from SeedSequence((s, r)).  Nothing is ever seeded from the clock; a seed is
 always required.
@@ -23,6 +31,10 @@ from .model import ModelSpec, neighborhood, root_graph
 from .policy import PolicyConfig, State, select_class
 
 FULL_GRAPH_MAX_T = 1000
+# Most entries one memo of greedy choices, (c, *x) -> class, may hold.
+CHOICE_MEMO_MAX = 1 << 16
+# Geometric draws per refill of a probe buffer.
+GEOM_BLOCK = 4096
 ENUMERATION_MAX_T = 6
 DEFAULT_SAMPLES = 512
 
@@ -55,50 +67,80 @@ def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndar
     return np.minimum(idx, spec.n_classes - 1).astype(np.int64)
 
 
-class _GeomPool:
-    """Buffered geometric draws, one buffer per success probability."""
+class _Choice:
+    """The greedy choice of the targeted class, memoised on (c, *x).
 
-    def __init__(self, rng: np.random.Generator, block: int = 4096):
-        self.rng = rng
-        self.block = block
-        self.buffers: dict[float, tuple[np.ndarray, int]] = {}
+    A miss calls select_class, so the tie rule (WEIGHT_TOL, then the largest
+    alpha) lives in one place.  The memo holds at most CHOICE_MEMO_MAX
+    entries; once it is full, further choices are computed and not stored.
+    """
 
-    def draw(self, p: float) -> int:
-        buf = self.buffers.get(p)
-        if buf is None or buf[1] >= buf[0].size:
-            buf = (self.rng.geometric(p, size=self.block), 0)
-        arr, pos = buf
-        self.buffers[p] = (arr, pos + 1)
-        return int(arr[pos])
+    def __init__(self, spec: ModelSpec, policy: PolicyConfig):
+        self.memo: dict[tuple[int, ...], int] = {}
+        self.weight, self.alpha, self.rho = policy.weight, policy.alpha, spec.rho
+
+    def miss(self, key: tuple[int, ...]) -> int:
+        j = select_class(self.weight, self.alpha, key[1:], self.rho[key[0]])
+        if len(self.memo) < CHOICE_MEMO_MAX:
+            self.memo[key] = j
+        return j
+
+    def __call__(self, c: int, x: Sequence[int]) -> int:
+        key = (c, *x)
+        j = self.memo.get(key)
+        return self.miss(key) if j is None else j
 
 
-def _make_chooser(spec: ModelSpec, policy: PolicyConfig):
-    """Per-arrival-class choice function; exact fast path for w1."""
-    C = spec.n_classes
-    alpha = policy.alpha
-    if policy.weight.name == "w1":
-        pos = [tuple(v > 0.0 for v in row) for row in spec.rho]
+class _LazyPath:
+    """One lazy-engine realization: the counts, the pathwise counters, and one
+    list-backed buffer of geometric draws per distinct positive rho value.
 
-        def choose(x: list[int], c: int) -> int:
-            row = pos[c]
-            best = -1
-            bw = -1
-            ba = -1
-            for j in range(C):
-                wj = x[j] if row[j] else 0
-                if wj > bw or (wj == bw and alpha[j] > ba):
-                    best, bw, ba = j, wj, alpha[j]
-            return best
+    A buffer is refilled with rng.geometric(r, size=GEOM_BLOCK) when a probe
+    finds it empty, so the blocks come off the stream in order of need.
+    """
 
-        return choose
+    def __init__(self, spec: ModelSpec, choice: _Choice, rng: np.random.Generator):
+        self.choice, self.rng, self.rho = choice, rng, spec.rho
+        pools: dict[float, list[int]] = {}
+        self.buffers = [[pools.setdefault(r, []) if r > 0.0 else None for r in row]
+                        for row in spec.rho]
+        self.x = [0] * spec.n_classes
+        self.t = self.matched_pairs = self.returns_to_zero = 0
+        self.cum_norm = 0.0
+        self.first_return: int | None = None
 
-    weight = policy.weight
-    rho = spec.rho
-
-    def choose(x: list[int], c: int) -> int:
-        return select_class(weight, alpha, x, rho[c])
-
-    return choose
+    def advance(self, arrivals: Sequence[int]) -> None:
+        """Serve the given arrivals one by one.  The arrival of class c
+        targets class j = choice(c, x) and probes its x[j] unmatched nodes;
+        the first geometric trial at or below x[j] matches one of them,
+        otherwise the arrival joins its own class."""
+        x, buffers, rho = self.x, self.buffers, self.rho
+        memo, miss = self.choice.memo, self.choice.miss
+        t, matched, cum_norm = self.t, self.matched_pairs, self.cum_norm
+        for c in arrivals:
+            t += 1
+            key = (c, *x)
+            j = memo.get(key)  # _Choice.__call__, inlined
+            if j is None:
+                j = miss(key)
+            xj = x[j]
+            buf = buffers[c][j]
+            hit = False
+            if xj and buf is not None:
+                if not buf:
+                    buf.extend(self.rng.geometric(rho[c][j], size=GEOM_BLOCK)[::-1].tolist())
+                hit = buf.pop() <= xj
+            if hit:
+                x[j] = xj - 1
+                matched += 1
+                if not any(x):
+                    self.returns_to_zero += 1
+                    if self.first_return is None:
+                        self.first_return = t
+            else:
+                x[c] += 1
+            cum_norm += max(x)
+        self.t, self.matched_pairs, self.cum_norm = t, matched, cum_norm
 
 
 @dataclass
@@ -131,10 +173,7 @@ def new_sim(spec: ModelSpec, seed) -> SimState:
 def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
     """Advance one arrival: draw its class, probe the targeted class node by
     node until the first successful edge, and update the counts."""
-    cum = np.cumsum(spec.nu)
-    u = sim.rng.random()
-    c = int(np.searchsorted(cum, u, side="right"))
-    c = min(c, spec.n_classes - 1)
+    c = int(_draw_arrivals(spec, 1, sim.rng)[0])
     j = select_class(policy.weight, policy.alpha, sim.x, spec.rho[c])
     r = spec.rho[c][j]
     xj = sim.x[j]
@@ -188,10 +227,8 @@ def coupled_walk(spec: ModelSpec, independent_set: Iterable[int],
     """
     graph = root_graph(spec)
     members = frozenset(independent_set)
-    for i in members:
-        for j in members:
-            if graph.adjacency[i][j]:
-                raise ValueError("the comparison walk needs an independent set")
+    if any(graph.adjacency[i][j] for i in members for j in members):
+        raise ValueError("the comparison walk needs an independent set")
     delta = np.zeros(spec.n_classes, dtype=np.int64)
     for j in neighborhood(graph, members):
         delta[j] = -1
@@ -215,52 +252,20 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     """
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
-    pool = _GeomPool(rng)
-    choose = _make_chooser(spec, policy)
-    rho = spec.rho
-    C = spec.n_classes
+    path = _LazyPath(spec, _Choice(spec, policy), rng)
+    stream = arrivals.tolist()
 
     grid = _sample_grid(T, sample_every)
     S = grid.size
-    samp_x = np.zeros((S, C), dtype=np.int64)
+    samp_x = np.zeros((S, spec.n_classes), dtype=np.int64)
     samp_matched = np.zeros(S, dtype=np.int64)
     samp_erg = np.zeros(S, dtype=np.float64)
-
-    x = [0] * C
-    total = 0
-    matched_pairs = 0
-    cum_norm = 0.0
-    returns_to_zero = 0
-    first_return: int | None = None
-
-    gi = 0
-    if grid[0] == 0:
-        gi = 1  # the zero row is already all zeros
-    next_sample = int(grid[gi]) if gi < S else -1
-
-    for t in range(1, T + 1):
-        c = int(arrivals[t - 1])
-        j = choose(x, c)
-        xj = x[j]
-        r = rho[c][j]
-        if xj > 0 and r > 0.0 and pool.draw(r) <= xj:
-            x[j] = xj - 1
-            matched_pairs += 1
-            total -= 1
-        else:
-            x[c] += 1
-            total += 1
-        cum_norm += max(x)
-        if total == 0:
-            returns_to_zero += 1
-            if first_return is None:
-                first_return = t
-        if t == next_sample:
-            samp_x[gi] = x
-            samp_matched[gi] = matched_pairs
-            samp_erg[gi] = cum_norm / t
-            gi += 1
-            next_sample = int(grid[gi]) if gi < S else -1
+    ts = grid.tolist()  # starts at 0, whose row stays all zeros
+    for k in range(1, S):
+        path.advance(stream[ts[k - 1]:ts[k]])
+        samp_x[k] = path.x
+        samp_matched[k] = path.matched_pairs
+        samp_erg[k] = path.cum_norm / ts[k]
 
     sup = samp_x.max(axis=1)
     perfect = sup == 0
@@ -272,8 +277,8 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     return Trajectory(T=T, seed=seed, t_grid=grid, x=samp_x, sup_norm=sup,
                       matched_pairs=samp_matched, perfect=perfect,
                       ergodic_avg=samp_erg, walks=walks,
-                      returns_to_zero=returns_to_zero, first_return=first_return,
-                      final_x=tuple(int(v) for v in x), matched_total=matched_pairs,
+                      returns_to_zero=path.returns_to_zero, first_return=path.first_return,
+                      final_x=tuple(path.x), matched_total=path.matched_pairs,
                       arrivals=arrivals if keep_arrivals else None)
 
 
@@ -285,26 +290,15 @@ def run_replicas(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
 
 def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
                  replicas: int) -> np.ndarray:
-    """Final count vectors of many short replicas, without path bookkeeping."""
-    C = spec.n_classes
-    rho = spec.rho
-    choose = _make_chooser(spec, policy)
-    out = np.zeros((replicas, C), dtype=np.int64)
+    """Final count vectors of many short replicas; the replicas share one
+    memo of greedy choices."""
+    choice = _Choice(spec, policy)
+    out = np.zeros((replicas, spec.n_classes), dtype=np.int64)
     for rep in range(replicas):
         rng = np.random.default_rng(_seed_seq((base_seed, rep)))
-        arrivals = _draw_arrivals(spec, T, rng)
-        pool = _GeomPool(rng)
-        x = [0] * C
-        for t in range(T):
-            c = int(arrivals[t])
-            j = choose(x, c)
-            xj = x[j]
-            r = rho[c][j]
-            if xj > 0 and r > 0.0 and pool.draw(r) <= xj:
-                x[j] = xj - 1
-            else:
-                x[c] += 1
-        out[rep] = x
+        path = _LazyPath(spec, choice, rng)
+        path.advance(_draw_arrivals(spec, T, rng).tolist())
+        out[rep] = path.x
     return out
 
 
@@ -339,7 +333,7 @@ def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
         raise ValueError(f"full-graph engine capped at T = {FULL_GRAPH_MAX_T}")
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
-    choose = _make_chooser(spec, policy)
+    choose = _Choice(spec, policy)
     rho_arr = np.asarray(spec.rho)
     C = spec.n_classes
 
@@ -356,8 +350,7 @@ def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     matching: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] | None = [] if retain_graph else None
 
-    gi = 1 if grid[0] == 0 else 0
-    next_sample = int(grid[gi]) if gi < S else -1
+    sample_row = {t: k for k, t in enumerate(grid.tolist())}
 
     for t in range(1, T + 1):
         c = int(arrivals[t - 1])
@@ -366,7 +359,7 @@ def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
             np.less(rng.random(nv), rho_arr[c, node_class[:nv]], out=psi[:nv])
             if edges is not None:
                 edges.extend((v, nv) for v in np.nonzero(psi[:nv])[0])
-        j = choose(x, c)
+        j = choose(c, x)
         node_class[nv] = c
         unmatched[nv] = True
         partner = -1
@@ -383,11 +376,10 @@ def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
             matched_pairs += 1
         else:
             x[c] += 1
-        if t == next_sample:
-            samp_x[gi] = x
-            samp_matched[gi] = matched_pairs
-            gi += 1
-            next_sample = int(grid[gi]) if gi < S else -1
+        k = sample_row.get(t)
+        if k is not None:
+            samp_x[k] = x
+            samp_matched[k] = matched_pairs
 
     return FullGraphRun(T=T, seed=seed, t_grid=grid, x=samp_x,
                         sup_norm=samp_x.max(axis=1), matched_pairs=samp_matched,
@@ -405,7 +397,7 @@ def enumerate_exact_distribution(spec: ModelSpec, policy: PolicyConfig, T: int) 
     C = spec.n_classes
     rho = spec.rho
     nu = spec.nu
-    weight, alpha = policy.weight, policy.alpha
+    choose = _Choice(spec, policy)
     out: dict[State, float] = {}
 
     def counts(nodes) -> list[int]:
@@ -433,7 +425,7 @@ def enumerate_exact_distribution(spec: ModelSpec, policy: PolicyConfig, T: int) 
                 if p_edges == 0.0:
                     continue
                 x = counts(nodes)
-                j = select_class(weight, alpha, x, rho[c])
+                j = choose(c, x)
                 partner = -1
                 if x[j] > 0:
                     for v in range(nv):

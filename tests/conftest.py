@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ import scipy.sparse as sp
 
 from sbmatch import ModelSpec, make_spec, transition_row
 from sbmatch import scenarios
+from sbmatch.policy import PolicyConfig, select_class
+from sbmatch.simulate import Trajectory, _draw_arrivals, _sample_grid, _seed_seq, coupled_walk
 
 
 @pytest.fixture
@@ -168,3 +171,148 @@ def scalar_reachable(spec: ModelSpec, policy, cap: int):
                 can_return.add(v)
                 queue.append(v)
     return len(seen), tuple(sorted(seen - can_return))
+
+
+class _GeomPool:
+    """Buffered geometric draws, one buffer per success probability."""
+
+    def __init__(self, rng: np.random.Generator, block: int = 4096):
+        self.rng = rng
+        self.block = block
+        self.buffers: dict[float, tuple[np.ndarray, int]] = {}
+
+    def draw(self, p: float) -> int:
+        buf = self.buffers.get(p)
+        if buf is None or buf[1] >= buf[0].size:
+            buf = (self.rng.geometric(p, size=self.block), 0)
+        arr, pos = buf
+        self.buffers[p] = (arr, pos + 1)
+        return int(arr[pos])
+
+
+def _make_chooser(spec: ModelSpec, policy: PolicyConfig):
+    """Per-arrival-class choice function; exact fast path for w1."""
+    C = spec.n_classes
+    alpha = policy.alpha
+    if policy.weight.name == "w1":
+        pos = [tuple(v > 0.0 for v in row) for row in spec.rho]
+
+        def choose(x: list[int], c: int) -> int:
+            row = pos[c]
+            best = -1
+            bw = -1
+            ba = -1
+            for j in range(C):
+                wj = x[j] if row[j] else 0
+                if wj > bw or (wj == bw and alpha[j] > ba):
+                    best, bw, ba = j, wj, alpha[j]
+            return best
+
+        return choose
+
+    weight = policy.weight
+    rho = spec.rho
+
+    def choose(x: list[int], c: int) -> int:
+        return select_class(weight, alpha, x, rho[c])
+
+    return choose
+
+
+def scalar_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
+               sample_every: int | None = None,
+               track_walks: Iterable[Iterable[int]] = (),
+               keep_arrivals: bool = False) -> Trajectory:
+    """The lazy engine's path, one arrival at a time, with an unmemoised
+    choice and a dict-keyed pool of geometric blocks.
+
+    track_walks lists independent sets whose comparison walks are evaluated
+    on the same arrival stream and sampled on the same grid.
+    """
+    rng = np.random.default_rng(_seed_seq(seed))
+    arrivals = _draw_arrivals(spec, T, rng)
+    pool = _GeomPool(rng)
+    choose = _make_chooser(spec, policy)
+    rho = spec.rho
+    C = spec.n_classes
+
+    grid = _sample_grid(T, sample_every)
+    S = grid.size
+    samp_x = np.zeros((S, C), dtype=np.int64)
+    samp_matched = np.zeros(S, dtype=np.int64)
+    samp_erg = np.zeros(S, dtype=np.float64)
+
+    x = [0] * C
+    total = 0
+    matched_pairs = 0
+    cum_norm = 0.0
+    returns_to_zero = 0
+    first_return: int | None = None
+
+    gi = 0
+    if grid[0] == 0:
+        gi = 1  # the zero row is already all zeros
+    next_sample = int(grid[gi]) if gi < S else -1
+
+    for t in range(1, T + 1):
+        c = int(arrivals[t - 1])
+        j = choose(x, c)
+        xj = x[j]
+        r = rho[c][j]
+        if xj > 0 and r > 0.0 and pool.draw(r) <= xj:
+            x[j] = xj - 1
+            matched_pairs += 1
+            total -= 1
+        else:
+            x[c] += 1
+            total += 1
+        cum_norm += max(x)
+        if total == 0:
+            returns_to_zero += 1
+            if first_return is None:
+                first_return = t
+        if t == next_sample:
+            samp_x[gi] = x
+            samp_matched[gi] = matched_pairs
+            samp_erg[gi] = cum_norm / t
+            gi += 1
+            next_sample = int(grid[gi]) if gi < S else -1
+
+    sup = samp_x.max(axis=1)
+    perfect = sup == 0
+    walks: dict[frozenset[int], np.ndarray] = {}
+    for members in track_walks:
+        key = frozenset(members)
+        walks[key] = coupled_walk(spec, key, arrivals)[grid]
+
+    return Trajectory(T=T, seed=seed, t_grid=grid, x=samp_x, sup_norm=sup,
+                      matched_pairs=samp_matched, perfect=perfect,
+                      ergodic_avg=samp_erg, walks=walks,
+                      returns_to_zero=returns_to_zero, first_return=first_return,
+                      final_x=tuple(int(v) for v in x), matched_total=matched_pairs,
+                      arrivals=arrivals if keep_arrivals else None)
+
+
+def scalar_final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
+                        replicas: int) -> np.ndarray:
+    """Final count vectors of many short replicas, without path bookkeeping."""
+    C = spec.n_classes
+    rho = spec.rho
+    choose = _make_chooser(spec, policy)
+    out = np.zeros((replicas, C), dtype=np.int64)
+    for rep in range(replicas):
+        rng = np.random.default_rng(_seed_seq((base_seed, rep)))
+        arrivals = _draw_arrivals(spec, T, rng)
+        pool = _GeomPool(rng)
+        x = [0] * C
+        for t in range(T):
+            c = int(arrivals[t])
+            j = choose(x, c)
+            xj = x[j]
+            r = rho[c][j]
+            if xj > 0 and r > 0.0 and pool.draw(r) <= xj:
+                x[j] = xj - 1
+            else:
+                x[c] += 1
+        out[rep] = x
+    return out

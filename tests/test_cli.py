@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sbmatch.cli import ConfigError, load_config, main
 
@@ -200,3 +202,77 @@ def test_sweep_csv(tmp_path, capsys):
     no_seed["run"] = {"T": 100}
     assert main(["--config", write_cfg(tmp_path, no_seed, "ns.json"),
                  "sweep"]) == 2
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "classes", [["a"], "b", "c"]),   # unhashable label
+    ("run", "T", "many"),
+    ("model", "rho", [[0.0, "x", 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]]),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
+    doc = triangle_cfg()
+    doc[section][key] = value
+    assert main(["--config", write_cfg(tmp_path, doc), "--seed", "1", "simulate"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def sweep_cfg():
+    doc = triangle_cfg()
+    doc["policy"] = {"weight": "w2", "alpha": ["b", "a", "c"], "n_check": 50}
+    doc["analyze"] = {"cap": 4, "max_norm": 3, "solver": "auto"}
+    doc["sweep"] = {"models": [{"id": "t", "model": triangle_cfg()["model"]}],
+                    "T": 10, "replicas": 1}
+    doc["run"]["walk_set"] = ["a"]
+    return doc
+
+
+# Every place a config value is read, as a path into the document.
+CONFIG_PATHS = [
+    (), ("model",), ("model", "classes"), ("model", "classes", 0), ("model", "nu"),
+    ("model", "nu", 1), ("model", "rho"), ("model", "rho", 0), ("model", "rho", 1, 2),
+    ("policy",), ("policy", "weight"), ("policy", "alpha"), ("policy", "alpha", 0),
+    ("policy", "n_check"), ("run",), ("run", "T"), ("run", "replicas"),
+    ("run", "base_seed"), ("run", "sample_every"), ("run", "walk_set"),
+    ("run", "walk_set", 0), ("analyze",), ("analyze", "cap"), ("analyze", "max_norm"),
+    ("analyze", "solver"), ("sweep",), ("sweep", "models"), ("sweep", "models", 0),
+    ("sweep", "models", 0, "id"), ("sweep", "models", 0, "model"),
+    ("sweep", "models", 0, "model", "nu", 0), ("sweep", "T"), ("sweep", "replicas"),
+]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["a", "b", "1/3", "0/0", "1e400", "many", "w1", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "classes", "nu", "rho", "T", "x"]), inner,
+                      max_size=3),
+    max_leaves=8)
+
+
+def replace_at(doc, path, value):
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(CONFIG_PATHS), json_values),
+                      min_size=1, max_size=3))
+def test_load_config_fuzz_raises_only_config_errors(tmp_path, edits):
+    doc = sweep_cfg()
+    for path, value in edits:
+        try:
+            doc = replace_at(doc, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed the path
+    cfg_path = tmp_path / "fuzz.json"
+    cfg_path.write_text(json.dumps(doc))
+    try:
+        cfg = load_config(str(cfg_path))
+    except ConfigError:
+        return
+    assert all(v > 0.0 for v in cfg.spec.nu)

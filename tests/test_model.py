@@ -182,6 +182,20 @@ def test_stability_mixed_scenario(mixed_spec):
     assert rep.minimizer == frozenset({1})
 
 
+def test_stability_float_rates_decide_the_sign_exactly():
+    # c's neighbourhood {a, b} carries exactly c's rate: float sums round the
+    # margin of {c} to 5.55e-17, the decimals give exactly 0, so not stable
+    rho = ((0.0, 0.5, 0.5, 0.0), (0.5, 0.0, 0.5, 0.0),
+           (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5))
+    assert 0.1 + 0.2 - 0.3 > 0.0
+    rep = stability(make_spec("abcd", (0.1, 0.2, 0.3, 0.4), rho))
+    assert rep.eta_exact == 0 and rep.eta == 0.0
+    assert not rep.ncond
+    assert rep.minimizer == frozenset({2})
+    exact = stability(make_spec("abcd", tuple(Fraction(k, 10) for k in range(1, 5)), rho))
+    assert (exact.eta_exact, exact.ncond) == (rep.eta_exact, rep.ncond)
+
+
 def test_stability_vacuous_when_no_independent_set(solo_spec):
     rep = stability(solo_spec)
     assert rep.ncond

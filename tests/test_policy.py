@@ -1,5 +1,7 @@
 """Weight functions, thresholds, and the greedy class choice."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,17 @@ from sbmatch import (
     WeightFunction,
     check_assumption,
     make_policy,
+    make_spec,
     n_star,
     phi,
+    run,
     select_class,
+    simulate,
+    truncate,
 )
+from sbmatch.policy import WEIGHT_TOL
 
-from conftest import random_model, random_state
+from conftest import random_model, random_state, scalar_run, scalar_truncate
 
 
 def brute_threshold(weight, r, window=400):
@@ -159,3 +166,42 @@ def test_indistinguishability_above_threshold():
             continue
         j = phi(pol, spec, x, i)
         assert x[j] == max(x[k] for k in neigh)
+
+
+def _near_tie(n, r):
+    # n plus a sub-tolerance bonus growing with r: classes with equal counts
+    # and different rho differ by less than WEIGHT_TOL
+    n = np.asarray(n, dtype=float)
+    return np.where((n > 0) & (r > 0.0), n + 1e-13 * r, 0.0)
+
+
+NEAR_TIE = WeightFunction("near_tie", _near_tie)
+
+
+def test_weights_within_tolerance_tie_and_the_larger_alpha_wins():
+    # a star centred at a: an arrival of a weighs b (rho 0.6) against c
+    # (rho 0.3); with x_b = x_c, b is heavier by only 3e-14, inside
+    # WEIGHT_TOL, so the tie goes to c, whose alpha is larger
+    spec = make_spec(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                     ((0.0, 0.6, 0.3), (0.6, 0.0, 0.0), (0.3, 0.0, 0.0)))
+    pol = make_policy(spec, NEAR_TIE, n_check=100)
+    assert pol.alpha[2] > pol.alpha[1]
+    choice = simulate._Choice(spec, pol)
+    for n in range(1, 6):
+        x = (0, n, n)
+        w_b, w_c = (float(NEAR_TIE(v, r)) for v, r in zip(x[1:], spec.rho[0][1:]))
+        assert 0.0 < w_b - w_c < WEIGHT_TOL
+        assert select_class(pol.weight, pol.alpha, x, spec.rho[0]) == 2
+        assert choice(0, x) == 2
+    cap = 4
+    ch = truncate(spec, pol, cap)
+    states, _, P, _, _, _ = scalar_truncate(spec, pol, cap)
+    assert all((0, n, n) in ch.index for n in range(1, cap + 1))
+    assert ch.states == states
+    assert np.array_equal(ch.P.indptr, P.indptr)
+    assert np.array_equal(ch.P.indices, P.indices)
+    assert np.array_equal(ch.P.data.view(np.int64), P.data.view(np.int64))
+    for seed in (1, 2, 3):
+        a = run(spec, pol, 500, seed, sample_every=1)
+        b = scalar_run(spec, pol, 500, seed, sample_every=1)
+        assert np.array_equal(a.x, b.x)

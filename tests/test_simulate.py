@@ -7,6 +7,8 @@ import pytest
 from scipy import stats
 
 from sbmatch import (
+    W1,
+    W2,
     coupled_walk,
     enumerate_exact_distribution,
     final_states,
@@ -16,10 +18,14 @@ from sbmatch import (
     propagate_distribution,
     run,
     run_replicas,
+    select_class,
+    stability,
     step,
     transition_row,
 )
-from sbmatch import scenarios
+from sbmatch import scenarios, simulate
+
+from conftest import scalar_final_states, scalar_run
 
 
 def chi_square_ok(observed_counts, expected_probs, n, significance=1e-3):
@@ -174,3 +180,52 @@ def test_full_graph_bookkeeping(triangle_spec):
         assert u < v  # partner existed before the arrival
         assert (u, v) in edge_set
         assert triangle_spec.rho[out.node_class[u]][out.node_class[v]] > 0.0
+
+
+ORACLE_MODELS = {
+    "triangle": scenarios.triangle,
+    "bipartite_1_2": lambda: scenarios.bipartite(Fraction(1, 2)),
+    "bipartite_3_5": lambda: scenarios.bipartite(Fraction(3, 5)),
+    "mixed_selfloop": scenarios.mixed_selfloop,
+    "single_selfloop": scenarios.single_selfloop,
+}
+
+
+def assert_same_engine_output(spec, pol, seed):
+    walks = stability(spec).independent_sets[:2]
+    for every in (None, 37):
+        a = run(spec, pol, 2000, (seed, 0), sample_every=every, track_walks=walks)
+        b = scalar_run(spec, pol, 2000, (seed, 0), sample_every=every, track_walks=walks)
+        for field in ("t_grid", "x", "sup_norm", "matched_pairs", "perfect", "ergodic_avg"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert a.walks.keys() == b.walks.keys()
+        for key in a.walks:
+            assert np.array_equal(a.walks[key], b.walks[key])
+        assert (a.returns_to_zero, a.first_return, a.final_x, a.matched_total) \
+            == (b.returns_to_zero, b.first_return, b.final_x, b.matched_total)
+    assert np.array_equal(final_states(spec, pol, 60, seed, 30),
+                          scalar_final_states(spec, pol, 60, seed, 30))
+
+
+@pytest.mark.parametrize("weight", [W1, W2], ids=["w1", "w2"])
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_engine_matches_scalar_oracle(name, weight):
+    # the memoised core must reproduce the unmemoised loop's seeded paths exactly
+    spec = ORACLE_MODELS[name]()
+    pol = make_policy(spec, weight)
+    for seed in (1, 2, 3):
+        assert_same_engine_output(spec, pol, seed)
+
+
+def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
+    monkeypatch.setattr(simulate, "CHOICE_MEMO_MAX", 8)
+    spec = scenarios.bipartite(Fraction(3, 5))  # unstable: nearly every state is new
+    for weight in (W1, W2):
+        pol = make_policy(spec, weight)
+        choice = simulate._Choice(spec, pol)
+        for n in range(40):
+            x = (n, n // 3)
+            assert choice(0, x) == select_class(pol.weight, pol.alpha, x, spec.rho[0])
+        assert len(choice.memo) == 8
+        for seed in (4, 5, 6):
+            assert_same_engine_output(spec, pol, seed)

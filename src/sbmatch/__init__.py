@@ -20,7 +20,6 @@ from .model import (
     neighborhood,
     root_graph,
     stability,
-    validate,
     walk_spec,
 )
 from .policy import (
@@ -31,7 +30,6 @@ from .policy import (
     W1,
     W2,
     WeightFunction,
-    as_state,
     check_assumption,
     make_policy,
     n_star,
@@ -48,6 +46,7 @@ from .kernel import (
     ReachabilityReport,
     TransitionRow,
     check_main_drift,
+    corrupted_drift_q,
     drift,
     drift_q,
     kernel_variant,

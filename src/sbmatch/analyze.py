@@ -33,6 +33,10 @@ from .simulate import Trajectory, run
 # genuinely small chains; everything else converges in a handful of
 # two-step power iterations anyway.
 DIRECT_SOLVE_MAX_STATES = 5000
+# The power iteration stops when successive iterates differ by less than
+# POWER_TOL in L1; any solve whose residual exceeds RESIDUAL_TOL is refused.
+POWER_TOL = 1e-12
+RESIDUAL_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -102,14 +106,13 @@ def _direct_solve(P: sp.csr_matrix) -> np.ndarray:
     return pi
 
 
-def _power_solve(PT: sp.csr_matrix, tol: float, max_iter: int,
-                 parity_average: bool) -> tuple[np.ndarray, int]:
+def _power_solve(PT: sp.csr_matrix, max_iter: int, parity_average: bool) -> tuple[np.ndarray, int]:
     n = PT.shape[0]
     u = np.full(n, 1.0 / n)
     if not parity_average:
         for it in range(1, max_iter + 1):
             nxt = PT @ (PT @ u)
-            if np.abs(nxt - u).sum() < tol:
+            if np.abs(nxt - u).sum() < POWER_TOL:
                 return nxt, it
             u = nxt
         return u, max_iter
@@ -119,20 +122,19 @@ def _power_solve(PT: sp.csr_matrix, tol: float, max_iter: int,
         u = PT @ w
         w = PT @ u
         nxt = 0.5 * (u + w)
-        if np.abs(nxt - avg).sum() < tol:
+        if np.abs(nxt - avg).sum() < POWER_TOL:
             return nxt, it
         avg = nxt
     return avg, max_iter
 
 
-def stationary(chain: TruncatedChain, method: str = "auto", tol: float = 1e-12,
-               residual_tol: float = 1e-10, max_iter: int = 100_000,
+def stationary(chain: TruncatedChain, method: str = "auto", max_iter: int = 100_000,
                parity_average: bool = True) -> StationaryEstimate:
     """Solve pi P = pi on the truncated chain.
 
     method "direct" solves the sparse linear system, "power" iterates the
     two-step kernel (averaging the two parity phases unless disabled), and
-    "auto" picks direct below 5000 states.  A residual above residual_tol
+    "auto" picks direct below 5000 states.  A residual above RESIDUAL_TOL
     raises ConvergenceError rather than returning a bad estimate.
     """
     n = chain.n_states
@@ -142,7 +144,7 @@ def stationary(chain: TruncatedChain, method: str = "auto", tol: float = 1e-12,
         pi = _direct_solve(chain.P)
         iterations = 0
     elif method == "power":
-        pi, iterations = _power_solve(chain.PT, tol, max_iter, parity_average)
+        pi, iterations = _power_solve(chain.PT, max_iter, parity_average)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -152,8 +154,8 @@ def stationary(chain: TruncatedChain, method: str = "auto", tol: float = 1e-12,
         raise ConvergenceError("stationary solve produced a degenerate vector")
     pi = pi / total
     residual = float(np.abs(pi @ chain.P - pi).sum())
-    if residual > residual_tol:
-        raise ConvergenceError(f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceError(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
     even = chain.parity == 0
     pi_even = np.where(even, 2.0 * pi, 0.0)
@@ -271,17 +273,17 @@ class SweepRow:
 
 
 def eta_sweep(entries: Sequence[tuple[str, ModelSpec]], T: int, base_seed: int,
-              replicas: int, weight=None, alpha=None, n_check: int = 10_000) -> list[SweepRow]:
+              replicas: int, weight=None, n_check: int = 10_000) -> list[SweepRow]:
     """Simulated growth against the stability margin across a family of models.
 
-    Each model gets its own policy (the threshold depends on its rho_min) and
+    Each model gets its own policy, with the default tie-break alpha (the
+    models have their own classes) and a threshold from its own rho_min, and
     its own seed block (base_seed, row, replica).
     """
     rows: list[SweepRow] = []
     for row_idx, (label, spec) in enumerate(entries):
         stab = stability(spec)
-        policy = make_policy(spec, weight if weight is not None else W1,
-                             alpha=alpha, n_check=n_check)
+        policy = make_policy(spec, weight if weight is not None else W1, n_check=n_check)
         trajs = [run(spec, policy, T, (base_seed, row_idx, r)) for r in range(replicas)]
         summary = metrics(trajs)
         rows.append(SweepRow(

@@ -257,21 +257,13 @@ def cmd_drift(cfg: ScenarioConfig, max_norm: int, out: str | None, corrupt: bool
     failures = 0
     rows = []
     for x in _ball(spec.n_classes, max_norm):
-        if corrupt:
-            # Negative control: flip every matching step upward, as a sign
-            # error in the match indicator would; the sweep must then fail.
-            row = kernel.transition_row(spec, policy, "raw", x)
-            d = -kernel.quadratic(x)
-            for y, p in row.entries:
-                if sum(y) < sum(x):
-                    y = tuple(2 * a - b for a, b in zip(x, y))
-                d += p * kernel.quadratic(y)
-            b = kernel.theorem_bound(spec, policy, x)
-            slack = b - d
-            ok = slack >= -kernel.INEQ_TOL
+        if corrupt:  # negative control: the sweep must then fail
+            d, b = kernel.corrupted_drift_q(spec, policy, x), kernel.theorem_bound(spec, policy, x)
         else:
             rep = kernel.check_main_drift(spec, policy, x)
-            d, b, slack, ok = rep.drift, rep.bound, rep.slack, rep.passed
+            d, b = rep.drift, rep.bound
+        slack = b - d
+        ok = slack >= -kernel.INEQ_TOL
         if not ok:
             failures += 1
         rows.append(list(x) + [d, b, slack, "pass" if ok else "fail"])
@@ -366,8 +358,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: str | None, seed_override: int | None) -
         print("sweep: config has no sweep.models", file=sys.stderr)
         return 2
     rows = analyze.eta_sweep(cfg.sweep_models, cfg.sweep_T, base_seed,
-                             cfg.sweep_replicas, weight=cfg.weight,
-                             alpha=None, n_check=cfg.n_check)
+                             cfg.sweep_replicas, weight=cfg.weight, n_check=cfg.n_check)
     header = ["id", "eta", "ncond", "growth", "perfect_rate", "mean_return_time"]
     _write_csv(out, header, ([r.id, r.eta, r.ncond, r.growth, r.perfect_rate,
                               r.mean_return_time] for r in rows))

@@ -31,8 +31,6 @@ from .policy import (WEIGHT_TOL, PolicyConfig, State, select_class, support, sup
 
 INEQ_TOL = 1e-9
 
-VARIANT_TAGS = ("raw", "homogenized", "binarized")
-
 
 class KernelError(ValueError):
     """Raised on kernel precondition violations."""
@@ -62,12 +60,6 @@ def kernel_variant(spec: ModelSpec, tag: str) -> KernelVariant:
     rho = tuple(tuple(fill if graph.adjacency[i][j] else 0.0 for j in range(graph.n_classes))
                 for i in range(graph.n_classes))
     return KernelVariant(tag, rho)
-
-
-def _resolve_variant(spec: ModelSpec, variant) -> KernelVariant:
-    if isinstance(variant, KernelVariant):
-        return variant
-    return kernel_variant(spec, variant)
 
 
 def pow_int(base: float, n: int) -> float:
@@ -114,7 +106,7 @@ def transition_row(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[i
     Every successor differs from x in exactly one coordinate by one unit;
     decrements to the same target class are merged across arrival classes.
     """
-    var = _resolve_variant(spec, variant)
+    var = kernel_variant(spec, variant)
     x = tuple(int(v) for v in x)
     if any(v < 0 for v in x):
         raise KernelError("negative count")
@@ -145,8 +137,20 @@ def drift_q(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int]) ->
     1 + sum_i 2 x(i) P(x, x + e_i) - sum_j 2 x(j) P(x, x - e_j)."""
     x = tuple(int(v) for v in x)
     total = 0.0
-    for i, j, p_yes, p_no in _arrival_moves(spec, policy, _resolve_variant(spec, variant), x):
+    for i, j, p_yes, p_no in _arrival_moves(spec, policy, kernel_variant(spec, variant), x):
         total += p_no * (2 * x[i] + 1) + p_yes * (1 - 2 * x[j])
+    return total
+
+
+def corrupted_drift_q(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) -> float:
+    """Drift of q under the raw kernel with every matching step flipped
+    upward, as a sign error in the match indicator would make it:
+    sum_i P(x, x + e_i) (2 x(i) + 1) + sum_j P(x, x - e_j) (2 x(j) + 1).
+    This is the negative control of the drift sweep."""
+    x = tuple(int(v) for v in x)
+    total = 0.0
+    for i, j, p_yes, p_no in _arrival_moves(spec, policy, kernel_variant(spec, "raw"), x):
+        total += p_no * (2 * x[i] + 1) + p_yes * (2 * x[j] + 1)
     return total
 
 

@@ -47,9 +47,6 @@ class ModelSpec:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def class_index(self, label) -> int:
-        return self.classes.index(label)
-
 
 @dataclass(frozen=True)
 class RootGraph:
@@ -155,11 +152,6 @@ def make_spec(classes: Sequence, nu: Sequence, rho: Sequence[Sequence[float]]) -
     return ModelSpec(classes=classes, nu=nu_f, rho=rho_t, nu_exact=nu_exact)
 
 
-def validate(spec: ModelSpec) -> ModelSpec:
-    """Re-run all structural checks on an existing spec and return it."""
-    return make_spec(spec.classes, spec.nu_exact if spec.nu_exact is not None else spec.nu, spec.rho)
-
-
 @lru_cache(maxsize=None)
 def root_graph(spec: ModelSpec) -> RootGraph:
     """Derive the compatibility graph and the constants rho_min and K."""
@@ -190,38 +182,33 @@ def neighborhood(graph: RootGraph, subset: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _neighbour_masks(graph: RootGraph) -> list[int]:
-    """The neighbourhood of each class as a bitmask."""
-    n = graph.n_classes
-    return [sum(1 << j for j in range(n) if graph.adjacency[i][j]) for i in range(n)]
-
-
-def _independent_set_masks(graph: RootGraph) -> list[int]:
-    """All non-empty independent sets as bitmasks, in lexicographic order."""
+def _independent_sets(graph: RootGraph) -> tuple[tuple[frozenset[int], ...], list[tuple[int, int]]]:
+    """All non-empty independent sets in lexicographic order, as frozensets
+    and as (set, neighbourhood) bitmask pairs."""
     n = graph.n_classes
     if n > ENUMERATION_CAP:
         raise InvalidModelError(f"independent-set enumeration capped at {ENUMERATION_CAP} classes, got {n}")
-    nb = _neighbour_masks(graph)
+    nb = [sum(1 << j for j in range(n) if graph.adjacency[i][j]) for i in range(n)]
     free = [i for i in range(n) if not (nb[i] >> i) & 1]
 
-    masks: list[int] = []
+    masks: list[tuple[int, int]] = []
 
-    def extend(pos: int, mask: int) -> None:
+    def extend(pos: int, mask: int, hood: int) -> None:
         for k in range(pos, len(free)):
             j = free[k]
             if nb[j] & mask:
                 continue
-            new = mask | (1 << j)
+            new = (mask | (1 << j), hood | nb[j])
             masks.append(new)
-            extend(k + 1, new)
+            extend(k + 1, *new)
 
-    extend(0, 0)
-    return masks
+    extend(0, 0, 0)
+    sets = tuple(frozenset(i for i in range(n) if (m >> i) & 1) for m, _ in masks)
+    return sets, masks
 
 
 def independent_sets(graph: RootGraph) -> tuple[frozenset[int], ...]:
-    bits = _independent_set_masks(graph)
-    return tuple(frozenset(i for i in range(graph.n_classes) if (m >> i) & 1) for m in bits)
+    return _independent_sets(graph)[0]
 
 
 @lru_cache(maxsize=None)
@@ -235,15 +222,12 @@ def stability(spec: ModelSpec) -> StabilityReport:
     critical model is never certified stable by float rounding.  eta is the
     float of the exact margin eta_exact.
     """
-    graph = root_graph(spec)
-    n = graph.n_classes
-    masks = _independent_set_masks(graph)
-    sets = tuple(frozenset(i for i in range(n) if (m >> i) & 1) for m in masks)
+    n = spec.n_classes
+    sets, masks = _independent_sets(root_graph(spec))
     if not masks:
         return StabilityReport(eta=math.inf, ncond=True, independent_sets=(),
                                minimizer=None, eta_exact=None)
 
-    nb = _neighbour_masks(graph)
     exact = spec.nu_exact if spec.nu_exact is not None \
         else tuple(Fraction(str(v)) for v in spec.nu)
     # Margins are summed as integers in units of 1/den, the common denominator.
@@ -255,13 +239,7 @@ def stability(spec: ModelSpec) -> StabilityReport:
 
     best = None
     best_idx = -1
-    for idx, m in enumerate(masks):
-        hood = 0
-        probe = m
-        while probe:
-            i = (probe & -probe).bit_length() - 1
-            hood |= nb[i]
-            probe &= probe - 1
+    for idx, (m, hood) in enumerate(masks):
         margin = mass(hood) - mass(m)
         if best is None or margin < best:
             best, best_idx = margin, idx

@@ -28,16 +28,6 @@ class PolicyError(ValueError):
     """Raised for invalid policy configurations or failed weight checks."""
 
 
-def as_state(values: Iterable) -> State:
-    out = []
-    for v in values:
-        iv = int(v)
-        if iv != v or iv < 0:
-            raise PolicyError(f"state entries must be non-negative integers, got {v!r}")
-        out.append(iv)
-    return tuple(out)
-
-
 def support(x: State) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(x) if v > 0)
 
@@ -233,15 +223,15 @@ def make_policy(spec: ModelSpec, weight: WeightFunction = W1,
 
 
 def select_class(weight: WeightFunction, alpha: Sequence[int], x: Sequence[int],
-                 rho_row: Sequence[float], tol: float = WEIGHT_TOL) -> int:
+                 rho_row: Sequence[float]) -> int:
     """Greedy choice: argmax over j of (w(x(j), rho_row(j)), alpha(j)).
 
-    Weights within tol of the maximum count as tied and the largest alpha
+    Weights within WEIGHT_TOL of the maximum count as tied and the largest alpha
     wins.  For integer-valued weights such as w1 this reduces to exact
     lexicographic comparison.
     """
     ws = [float(weight.fn(n, r)) for n, r in zip(x, rho_row)]  # .fn: no __call__ frame
-    w_floor = max(ws) - tol
+    w_floor = max(ws) - WEIGHT_TOL
     best = -1
     best_alpha = -1
     for j, wj in enumerate(ws):

@@ -7,13 +7,15 @@ a truncated geometric draw.  The full-graph engine materializes every node
 and every edge indicator and serves as a ground-truth oracle at small
 horizons, including an exact enumeration of all of its randomness.
 
-run and final_states share one per-arrival core (_LazyPath).  Its seeded
-paths equal those of the plain reference loop: the arrival classes are drawn
-up front, the greedy choice is select_class's, and each distinct positive
-rho value has its own buffer of rng.geometric(r, size=GEOM_BLOCK) blocks,
-drawn in order of need.  Only the cost differs: the choice is memoised on
-(c, *x), with at most CHOICE_MEMO_MAX entries per memo; past that bound,
-choices are computed without being stored.
+run, final_states and step share one per-arrival core, SimState.advance.
+The seeded paths of run and final_states equal those of the plain reference
+loop: the arrival classes are drawn up front, the greedy choice is
+select_class's, and each distinct positive rho value has its own buffer of
+rng.geometric(r, size=GEOM_BLOCK) blocks, drawn in order of need.  Only the
+cost differs: the choice is memoised on (c, *x), with at most
+CHOICE_MEMO_MAX entries per memo; past that bound, choices are computed
+without being stored.  step draws each arrival's class when it is called,
+so its stream interleaves class draws with the probe blocks.
 
 Streams are split by seed tuple: replica r of a batch with base seed s draws
 from SeedSequence((s, r)).  Nothing is ever seeded from the clock; a seed is
@@ -91,7 +93,7 @@ class _Choice:
         return self.miss(key) if j is None else j
 
 
-class _LazyPath:
+class SimState:
     """One lazy-engine realization: the counts, the pathwise counters, and one
     list-backed buffer of geometric draws per distinct positive rho value.
 
@@ -99,8 +101,8 @@ class _LazyPath:
     finds it empty, so the blocks come off the stream in order of need.
     """
 
-    def __init__(self, spec: ModelSpec, choice: _Choice, rng: np.random.Generator):
-        self.choice, self.rng, self.rho = choice, rng, spec.rho
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
+        self.rng, self.rho = rng, spec.rho
         pools: dict[float, list[int]] = {}
         self.buffers = [[pools.setdefault(r, []) if r > 0.0 else None for r in row]
                         for row in spec.rho]
@@ -109,13 +111,16 @@ class _LazyPath:
         self.cum_norm = 0.0
         self.first_return: int | None = None
 
-    def advance(self, arrivals: Sequence[int]) -> None:
+    def refill(self, buf: list[int], r: float) -> None:
+        buf.extend(self.rng.geometric(r, size=GEOM_BLOCK)[::-1].tolist())
+
+    def advance(self, choice: _Choice, arrivals: Sequence[int]) -> None:
         """Serve the given arrivals one by one.  The arrival of class c
         targets class j = choice(c, x) and probes its x[j] unmatched nodes;
         the first geometric trial at or below x[j] matches one of them,
         otherwise the arrival joins its own class."""
         x, buffers, rho = self.x, self.buffers, self.rho
-        memo, miss = self.choice.memo, self.choice.miss
+        memo, miss = choice.memo, choice.miss
         t, matched, cum_norm = self.t, self.matched_pairs, self.cum_norm
         for c in arrivals:
             t += 1
@@ -128,7 +133,7 @@ class _LazyPath:
             hit = False
             if xj and buf is not None:
                 if not buf:
-                    buf.extend(self.rng.geometric(rho[c][j], size=GEOM_BLOCK)[::-1].tolist())
+                    self.refill(buf, rho[c][j])
                 hit = buf.pop() <= xj
             if hit:
                 x[j] = xj - 1
@@ -143,18 +148,6 @@ class _LazyPath:
         self.t, self.matched_pairs, self.cum_norm = t, matched, cum_norm
 
 
-@dataclass
-class SimState:
-    """Mutable state of one lazy-engine realization."""
-
-    t: int
-    x: list[int]
-    matched_pairs: int
-    returns_to_zero: int
-    first_return: int | None
-    rng: np.random.Generator
-
-
 @dataclass(frozen=True)
 class StepEvent:
     t: int
@@ -165,36 +158,29 @@ class StepEvent:
 
 
 def new_sim(spec: ModelSpec, seed) -> SimState:
-    rng = np.random.default_rng(_seed_seq(seed))
-    return SimState(t=0, x=[0] * spec.n_classes, matched_pairs=0,
-                    returns_to_zero=0, first_return=None, rng=rng)
+    return SimState(spec, np.random.default_rng(_seed_seq(seed)))
 
 
 def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
-    """Advance one arrival: draw its class, probe the targeted class node by
-    node until the first successful edge, and update the counts."""
+    """Draw one arrival's class and serve it with SimState.advance.
+
+    trials is the number of nodes probed: the geometric draw that advance
+    pops for this arrival, capped at x(j); or x(j) when rho(c, j) = 0
+    (probing a class with no edges burns all its nodes).
+    """
     c = int(_draw_arrivals(spec, 1, sim.rng)[0])
-    j = select_class(policy.weight, policy.alpha, sim.x, spec.rho[c])
-    r = spec.rho[c][j]
-    xj = sim.x[j]
-    if xj > 0 and r > 0.0:
-        g = int(sim.rng.geometric(r))
-        matched = g <= xj
-        trials = g if matched else xj
-    else:
-        matched = False
-        trials = xj  # probing a class with r = 0 burns all its nodes
-    sim.t += 1
-    if matched:
-        sim.x[j] -= 1
-        sim.matched_pairs += 1
-    else:
-        sim.x[c] += 1
-    if sum(sim.x) == 0:
-        sim.returns_to_zero += 1
-        if sim.first_return is None:
-            sim.first_return = sim.t
-    return StepEvent(t=sim.t, arrival=c, chosen=j, matched=matched, trials=trials)
+    choice = _Choice(spec, policy)
+    j = choice(c, sim.x)
+    xj, buf = sim.x[j], sim.buffers[c][j]
+    trials = xj
+    if xj and buf is not None:
+        if not buf:
+            sim.refill(buf, sim.rho[c][j])
+        trials = min(buf[-1], xj)
+    matched = sim.matched_pairs
+    sim.advance(choice, (c,))
+    return StepEvent(t=sim.t, arrival=c, chosen=j, matched=sim.matched_pairs > matched,
+                     trials=trials)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +238,7 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     """
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
-    path = _LazyPath(spec, _Choice(spec, policy), rng)
+    path, choice = SimState(spec, rng), _Choice(spec, policy)
     stream = arrivals.tolist()
 
     grid = _sample_grid(T, sample_every)
@@ -262,7 +248,7 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     samp_erg = np.zeros(S, dtype=np.float64)
     ts = grid.tolist()  # starts at 0, whose row stays all zeros
     for k in range(1, S):
-        path.advance(stream[ts[k - 1]:ts[k]])
+        path.advance(choice, stream[ts[k - 1]:ts[k]])
         samp_x[k] = path.x
         samp_matched[k] = path.matched_pairs
         samp_erg[k] = path.cum_norm / ts[k]
@@ -296,8 +282,8 @@ def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
     out = np.zeros((replicas, spec.n_classes), dtype=np.int64)
     for rep in range(replicas):
         rng = np.random.default_rng(_seed_seq((base_seed, rep)))
-        path = _LazyPath(spec, choice, rng)
-        path.advance(_draw_arrivals(spec, T, rng).tolist())
+        path = SimState(spec, rng)
+        path.advance(choice, _draw_arrivals(spec, T, rng).tolist())
         out[rep] = path.x
     return out
 

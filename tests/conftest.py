@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sbmatch import ModelSpec, make_spec, transition_row
+from sbmatch import ModelSpec, make_spec, quadratic, transition_row
 from sbmatch import scenarios
 from sbmatch.policy import PolicyConfig, select_class
 from sbmatch.simulate import Trajectory, _draw_arrivals, _sample_grid, _seed_seq, coupled_walk
@@ -171,6 +171,18 @@ def scalar_reachable(spec: ModelSpec, policy, cap: int):
                 can_return.add(v)
                 queue.append(v)
     return len(seen), tuple(sorted(seen - can_return))
+
+
+def scalar_corrupted_drift(spec: ModelSpec, policy, x) -> float:
+    """Drift of q under the raw kernel with every matching step flipped
+    upward, summed over the scalar transition row out of x."""
+    row = transition_row(spec, policy, "raw", x)
+    d = -quadratic(x)
+    for y, p in row.entries:
+        if sum(y) < sum(x):
+            y = tuple(2 * a - b for a, b in zip(x, y))
+        d += p * quadratic(y)
+    return d
 
 
 class _GeomPool:

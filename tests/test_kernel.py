@@ -1,5 +1,6 @@
 """Transition rows, drift bounds, and the inequality-chain verifier."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from sbmatch import (
     W2,
     KernelError,
     check_main_drift,
+    corrupted_drift_q,
     drift,
     drift_q,
     kernel_variant,
@@ -26,9 +28,9 @@ from sbmatch import (
     verify_drift_chain,
 )
 from sbmatch import scenarios
-from sbmatch.kernel import pow_int
+from sbmatch.kernel import INEQ_TOL, pow_int
 
-from conftest import random_model, random_state
+from conftest import random_model, random_state, scalar_corrupted_drift
 
 
 def connected_selfloop_model():
@@ -143,6 +145,27 @@ def test_check_main_drift_at_origin(triangle_spec):
     assert rep.passed
     assert rep.drift == pytest.approx(1.0)
     assert rep.slack == pytest.approx(6.116)
+
+
+@pytest.mark.parametrize("name, weight, radius, failing", [
+    ("triangle", W2, 6, 173),
+    ("triangle", W1, 8, 702),
+    ("mixed_selfloop", W2, 5, 0),
+])
+def test_corrupted_drift_matches_scalar_oracle(name, weight, radius, failing):
+    # the negative control's closed form against the flipped transition row
+    spec = getattr(scenarios, name)()
+    pol = make_policy(spec, weight)
+    failed = 0
+    for x in itertools.product(range(radius + 1), repeat=spec.n_classes):
+        closed = corrupted_drift_q(spec, pol, x)
+        oracle = scalar_corrupted_drift(spec, pol, x)
+        assert abs(closed - oracle) <= 1e-12
+        bound = theorem_bound(spec, pol, x)
+        verdict = bound - closed >= -INEQ_TOL
+        assert verdict == (bound - oracle >= -INEQ_TOL)
+        failed += not verdict
+    assert failed == failing
 
 
 def test_threshold_map_examples():

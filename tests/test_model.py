@@ -219,6 +219,29 @@ def test_stability_matches_brute_force_on_random_models():
     assert checked > 50
 
 
+def test_stability_shares_the_set_order_and_takes_the_first_minimizer():
+    # uniform rates tie many margins; the minimizer is the first set, in the
+    # order independent_sets lists them, whose exact margin is the minimum
+    rng = np.random.default_rng(4242)
+    tied = 0
+    for k in range(120):
+        spec = random_model(rng, max_classes=6)
+        C = spec.n_classes
+        if k % 2:
+            spec = make_spec(spec.classes, (Fraction(1, C),) * C, spec.rho)
+        rep = stability(spec)
+        assert rep.independent_sets == independent_sets(root_graph(spec))
+        if not rep.independent_sets:
+            continue
+        nu = spec.nu_exact or tuple(Fraction(str(v)) for v in spec.nu)
+        margins = [sum(nu[j] for j in range(C) if any(spec.rho[i][j] > 0.0 for i in s))
+                   - sum(nu[i] for i in s) for s in rep.independent_sets]
+        assert rep.eta_exact == min(margins)
+        assert rep.minimizer == rep.independent_sets[margins.index(min(margins))]
+        tied += margins.count(min(margins)) > 1
+    assert tied > 10
+
+
 def test_walk_spec_bipartite_constants(bipartite_spec):
     walk = walk_spec(bipartite_spec, {0})
     assert walk.mu == pytest.approx(0.2)

@@ -14,6 +14,7 @@ from sbmatch import (
     final_states,
     full_graph_run,
     make_policy,
+    make_spec,
     new_sim,
     propagate_distribution,
     run,
@@ -84,6 +85,27 @@ def test_step_trials_when_rate_is_zero():
     # scanning x incompatible nodes burns x trials even though none can match
     assert any(ev.trials > 0 for ev in events)
     assert sum(sim.x) == 50
+
+
+@pytest.mark.parametrize("weight", [W1, W2])
+def test_step_trials_when_rate_is_positive(weight):
+    # every class pair has an edge, so each probe is a geometric draw capped
+    # at the targeted count
+    spec = make_spec("ab", (0.45, 0.55), ((0.3, 0.6), (0.6, 0.2)))
+    pol = make_policy(spec, weight)
+    sim = new_sim(spec, 5)
+    matched = missed = 0
+    for _ in range(3000):
+        xj = list(sim.x)
+        ev = step(spec, pol, sim)
+        xj = xj[ev.chosen]
+        if ev.matched:
+            assert 1 <= ev.trials <= xj
+            matched += 1
+        else:
+            assert ev.trials == xj
+            missed += xj > 0
+    assert matched > 100 and missed > 100
 
 
 def test_single_step_distribution_matches_kernel(bipartite_spec):

@@ -96,14 +96,14 @@ class StationaryEstimate:
     iterations: int
 
 
-def _direct_solve(P: sp.csr_matrix) -> np.ndarray:
-    n = P.shape[0]
-    A = (P.T - sp.identity(n, format="csr")).tocsr()
-    A = sp.vstack([A[: n - 1, :], sp.csr_matrix(np.ones((1, n)))]).tocsr()
+def _direct_solve(PT: sp.csr_matrix) -> np.ndarray:
+    """pi (P - I) = 0 with its last equation replaced by sum(pi) = 1."""
+    n = PT.shape[0]
+    A = sp.vstack([(PT - sp.identity(n, format="csr"))[:-1], sp.csr_matrix(np.ones((1, n)))],
+                  format="csc")
     b = np.zeros(n)
     b[n - 1] = 1.0
-    pi = spla.spsolve(A.tocsc(), b)
-    return pi
+    return spla.spsolve(A, b)
 
 
 def _power_solve(PT: sp.csr_matrix, max_iter: int, parity_average: bool) -> tuple[np.ndarray, int]:
@@ -141,7 +141,7 @@ def stationary(chain: TruncatedChain, method: str = "auto", max_iter: int = 100_
     if method == "auto":
         method = "direct" if n < DIRECT_SOLVE_MAX_STATES else "power"
     if method == "direct":
-        pi = _direct_solve(chain.P)
+        pi = _direct_solve(chain.PT)
         iterations = 0
     elif method == "power":
         pi, iterations = _power_solve(chain.PT, max_iter, parity_average)
@@ -195,9 +195,8 @@ def tv_periodic(chain: TruncatedChain, estimate: StationaryEstimate, t: int, l: 
     with pi_l the parity-l component of the stationary law."""
     if l not in (0, 1):
         raise ValueError("l must be 0 or 1")
-    origin = (0,) * chain.spec.n_classes
     d = np.zeros(chain.n_states)
-    d[chain.index[origin]] = 1.0
+    d[0] = 1.0  # the origin comes first
     for _ in range(2 * t + l):
         d = chain.PT @ d
     target = estimate.pi_even if l == 0 else estimate.pi_odd

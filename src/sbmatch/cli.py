@@ -12,7 +12,8 @@ All output is deterministic: floats are printed with 17 significant digits,
 rows are sorted, and randomized verbs require an explicit seed (from the
 config or --seed; there is no clock fallback).  The exit status is 0 only
 when every asserted check passes, 1 when a check fails, and 2 on usage or
-configuration errors.
+configuration errors, on a sweep ball that is refused before it starts and
+on a stationary solve that misses its residual target.
 """
 
 from __future__ import annotations
@@ -243,6 +244,12 @@ def cmd_ncond(cfg: ScenarioConfig, out: str | None) -> int:
 
 
 def _ball(n_classes: int, max_norm: int):
+    """The sweep's states; a negative radius or an oversize ball is refused."""
+    if max_norm < 0:
+        raise ValueError(f"the sweep radius must be non-negative, got {max_norm}")
+    if (max_norm + 1) ** n_classes > kernel.BOX_MAX_STATES:
+        raise ValueError(f"the ball {{0..{max_norm}}}^{n_classes} exceeds "
+                         f"{kernel.BOX_MAX_STATES} states")
     return itertools.product(range(max_norm + 1), repeat=n_classes)
 
 
@@ -268,8 +275,7 @@ def cmd_drift(cfg: ScenarioConfig, max_norm: int, out: str | None, corrupt: bool
             failures += 1
         rows.append(list(x) + [d, b, slack, "pass" if ok else "fail"])
     _write_csv(out, header, rows)
-    total = (max_norm + 1) ** spec.n_classes
-    print(f"drift: {total} states, {failures} failures")
+    print(f"drift: {len(rows)} states, {failures} failures")
     return 1 if failures else 0
 
 
@@ -405,7 +411,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_stationary(cfg, args.out)
         if args.verb == "sweep":
             return cmd_sweep(cfg, args.out, args.seed)
-    except (PolicyError, InvalidModelError, kernel.KernelError, ValueError) as exc:
+    except (PolicyError, InvalidModelError, kernel.KernelError, ValueError,
+            analyze.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable verb")

@@ -361,20 +361,24 @@ BOX_MAX_STATES = 2_000_000
 def transition_table(spec: ModelSpec, policy: PolicyConfig, cap: int,
                      max_states: int = BOX_MAX_STATES) -> tuple[np.ndarray, sp.csr_matrix]:
     """The raw kernel on the states of the box {0..cap}^C reachable from the
-    origin, as (grid, P).
+    origin, as (grid, P): grid holds one count vector per state in sorted
+    (lexicographic) order, the origin first, and P is the transition matrix
+    in that order.  max_states bounds the box size (cap + 1) ** C before
+    anything is allocated.
 
-    grid holds one count vector per state, in sorted (lexicographic) order
-    with the origin first, and P is the transition matrix in that order.
-    The kernel is built over the whole box at once and then restricted; an
-    increment that would leave the box folds into a self-loop.
+    Row r of the box has entries only at the 2C + 1 columns r - stride[j]
+    (a match at class j), r (the self-loop into which an increment leaving
+    the box folds) and r + stride[i] (arrival i stored), with the strides
+    descending over the classes.  So the rows are one array val of shape
+    (N, 2C + 1) with those columns in ascending order: the decrements by
+    class, the fold, then the increments in reverse class order.  The box
+    CSR keeps the positive entries of val, and P is the box restricted to
+    the states reached from the origin.
 
-    The weights and miss probabilities come from the scalar weight and
-    pow_int, and every sum runs in transition_row's order, so each entry is
-    bit-identical to the scalar row: decrements to the same class
-    accumulate over ascending arrival classes, and the folded self-loop sums
-    increments over descending classes (the order of the sorted row).
-    max_states bounds the box size (cap + 1) ** C before anything is
-    allocated.
+    Each entry is bit-identical to transition_row's: the weights and miss
+    probabilities come from the scalar weight and pow_int, decrements to
+    the same class accumulate over ascending arrival classes, and the fold
+    sums increments over descending classes (the order of the sorted row).
     """
     if cap < 0:
         raise KernelError("cap must be non-negative")
@@ -393,8 +397,11 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig, cap: int,
     N = X.shape[0]
     rows = np.arange(N)
     cols = np.arange(C)
-    p_yes = np.zeros((N, C))  # merged per target class
-    p_no = np.empty((N, C))  # per arrival class
+    stride = side ** np.arange(C - 1, -1, -1)
+    offsets = np.concatenate([-stride, [0], stride[::-1]])
+    val = np.zeros((N, 2 * C + 1))
+    p_yes = val[:, :C]  # a view of val, merged per target class
+    p_no = val[:, :C:-1]  # a view of val, per arrival class i in column 2C - i
     for i in range(C):
         w = weight[i, cols, X]
         tied = w >= w.max(axis=1, keepdims=True) - WEIGHT_TOL
@@ -403,27 +410,16 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig, cap: int,
         p_yes[rows, j] += spec.nu[i] * (1.0 - m)
         p_no[:, i] = spec.nu[i] * m
     at_cap = X == cap
-    fold = np.zeros(N)
     for i in range(C - 1, -1, -1):
-        fold += np.where(at_cap[:, i], p_no[:, i], 0.0)
+        val[:, C] += np.where(at_cap[:, i], p_no[:, i], 0.0)
+    p_no[at_cap] = 0.0
 
-    stride = side ** np.arange(C - 1, -1, -1)
-    src = np.concatenate([np.repeat(rows, C), np.repeat(rows, C), rows])
-    dst = np.concatenate([(rows[:, None] - stride).ravel(),
-                          (rows[:, None] + stride).ravel(), rows])
-    val = np.concatenate([p_yes.ravel(), np.where(at_cap, 0.0, p_no).ravel(), fold])
     keep = val > 0.0
-    src, dst, val = src[keep], dst[keep], val[keep]
-
-    box = sp.csr_matrix((val, (src, dst)), shape=(N, N))
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    box = sp.csr_matrix((val[keep], (rows[:, None] + offsets)[keep], indptr), shape=(N, N))
     reached = np.zeros(N, dtype=bool)
     reached[breadth_first_order(box, 0, return_predecessors=False)] = True
-    renumber = np.cumsum(reached) - 1
-    n = int(reached.sum())
-    keep = reached[src]
-    P = sp.coo_matrix((val[keep], (renumber[src[keep]], renumber[dst[keep]])),
-                      shape=(n, n)).tocsr()
-    return X[reached], P
+    return X[reached], box[reached][:, reached]
 
 
 @dataclass(frozen=True)

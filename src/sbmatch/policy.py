@@ -123,33 +123,27 @@ class AssumptionReport:
         return max(m for _, m in self.n_star_by_r)
 
 
-_DEFAULT_R_GRID = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+_R_GRID = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
-def check_assumption(weight: WeightFunction, n_check: int = 10_000,
-                     r_values: Sequence[float] | None = None) -> AssumptionReport:
+def check_assumption(weight: WeightFunction, n_check: int = 10_000) -> AssumptionReport:
     """Verify on [0, n_check] that the weight is admissible.
 
     hyp1: w(n, r) > 0 iff n > 0 and r > 0 (and w never negative).
     hyp2: w is non-decreasing in n and in r.
     hyp3: the threshold of n_star exists within the window for each r > 0.
 
-    The r grid should include the smallest positive rho entry of the model the
-    weight will drive; the default grid spans (0, 1] plus r = 0 for hyp1.
+    The r grid _R_GRID spans (0, 1] plus r = 0 for hyp1.
     """
-    grid = sorted(set(_DEFAULT_R_GRID if r_values is None else tuple(r_values)))
-    for r in grid:
-        if not (0.0 <= r <= 1.0):
-            raise PolicyError(f"r grid entries must lie in [0, 1], got {r!r}")
     ns = np.arange(0, n_check + 1)
     violations: list[str] = []
     nonneg_ok = hyp1_ok = hyp2_ok = hyp3_ok = True
 
     values = {}
-    for r in grid:
+    for r in _R_GRID:
         values[r] = np.asarray(weight(ns, r), dtype=float)
 
-    for r in grid:
+    for r in _R_GRID:
         vals = values[r]
         if np.any(vals < 0.0):
             nonneg_ok = False
@@ -162,13 +156,13 @@ def check_assumption(weight: WeightFunction, n_check: int = 10_000,
             hyp2_ok = False
             violations.append(f"not non-decreasing in n at r={r}")
 
-    for lo, hi in zip(grid, grid[1:]):
+    for lo, hi in zip(_R_GRID, _R_GRID[1:]):
         if np.any(values[lo] > values[hi] + WEIGHT_TOL):
             hyp2_ok = False
             violations.append(f"not non-decreasing in r between {lo} and {hi}")
 
     thresholds: list[tuple[float, int]] = []
-    for r in grid:
+    for r in _R_GRID:
         if r <= 0.0:
             continue
         try:
@@ -193,11 +187,6 @@ class PolicyConfig:
     weight: WeightFunction
     alpha: tuple[int, ...]
     n_star: int
-    n_check: int
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.alpha)
 
 
 def make_policy(spec: ModelSpec, weight: WeightFunction = W1,
@@ -219,7 +208,7 @@ def make_policy(spec: ModelSpec, weight: WeightFunction = W1,
     if graph.rho_min is None:
         raise PolicyError("the model has no positive rho entry; no policy threshold exists")
     ns = n_star(weight, graph.rho_min, n_check)
-    return PolicyConfig(weight=weight, alpha=alpha_t, n_star=ns, n_check=n_check)
+    return PolicyConfig(weight=weight, alpha=alpha_t, n_star=ns)
 
 
 def select_class(weight: WeightFunction, alpha: Sequence[int], x: Sequence[int],

@@ -60,7 +60,8 @@ ORACLE_CASES = [(name, weight, cap)
 
 
 @pytest.mark.parametrize("name,weight,cap",
-                         ORACLE_CASES + [("bipartite_rho1", W1, 6)],
+                         ORACLE_CASES + [("bipartite_rho1", W1, 6)]
+                         + [("path3", weight, cap) for weight in (W1, W2) for cap in (4, 12)],
                          ids=lambda v: getattr(v, "name", v))
 def test_truncate_matches_scalar_oracle(name, weight, cap):
     # rho = 1 on the bipartite model leaves every state with both counts

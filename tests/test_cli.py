@@ -130,6 +130,47 @@ def test_drift_sweep_and_negative_control(tmp_path, capsys):
     assert any(r[-1] == "fail" for r in read_csv(tmp_path / "bad.csv")[1:])
 
 
+@pytest.mark.parametrize("verb,args,analyze", [
+    ("drift", ["--max-norm", "-3"], {}),
+    ("appendix", [], {"max_norm": -1}),
+], ids=["drift", "appendix"])
+def test_negative_sweep_radius_exits_2(tmp_path, capsys, verb, args, analyze):
+    doc = dict(triangle_cfg(), analyze=analyze)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), *args, verb]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "radius" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_oversize_sweep_ball_exits_2_before_the_sweep(tmp_path, capsys):
+    # 15 classes in a chain of linked triangles: 5^15 states at radius 4
+    C = 15
+    rho = [[0.5 if i != j and (i // 3 == j // 3 or abs(i - j) == 1) else 0.0
+            for j in range(C)] for i in range(C)]
+    doc = {"model": {"classes": [f"c{i}" for i in range(C)], "nu": [f"1/{C}"] * C, "rho": rho}}
+    out = tmp_path / "drift.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out),
+                 "--max-norm", "4", "drift"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "exceeds" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
+    from sbmatch import analyze
+
+    def fails(chain, method="auto"):
+        raise analyze.ConvergenceError("stationary residual 2.0e-09 exceeds 1.0e-10")
+
+    monkeypatch.setattr(analyze, "stationary", fails)
+    doc = {"model": {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}, "analyze": {"cap": 6}}
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "pi.csv"),
+                 "stationary"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: stationary residual 2.0e-09 exceeds 1.0e-10\n"
+
+
 def test_drift_needs_stability(tmp_path, capsys):
     doc = {"model": {"classes": ["one", "two"], "nu": ["3/5", "2/5"],
                      "rho": [[0.0, 0.5], [0.5, 0.0]]}}

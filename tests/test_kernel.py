@@ -1,6 +1,7 @@
 """Transition rows, drift bounds, and the inequality-chain verifier."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from sbmatch import (
     verify_drift_chain,
 )
 from sbmatch import scenarios
-from sbmatch.kernel import INEQ_TOL, pow_int
+from sbmatch.kernel import INEQ_TOL, pow_int, transition_table
 
 from conftest import random_model, random_state, scalar_corrupted_drift
 
@@ -276,3 +277,18 @@ def test_propagate_distribution_conserves_mass_and_parity(triangle_spec):
         dist = propagate_distribution(triangle_spec, pol, "raw", dist, 1)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(sum(x) % 2 == t % 2 for x in dist)
+
+
+def test_transition_table_peak_memory_per_box_state():
+    # the box kernel is one (N, 2C+1) array plus the CSR built from it,
+    # about 500 B per box state at the peak
+    spec = scenarios.mixed_selfloop()
+    pol = make_policy(spec, W1)
+    cap = 16
+    tracemalloc.start()
+    try:
+        transition_table(spec, pol, cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 * (cap + 1) ** spec.n_classes

@@ -25,7 +25,7 @@ from .kernel import BOX_MAX_STATES, transition_table
 # (perfbench/tracing.py) wraps analyze.transition_row.
 from .kernel import transition_row  # noqa: F401
 from .model import ModelSpec, root_graph, stability
-from .policy import W1, PolicyConfig, State, make_policy, sup_norm
+from .policy import W1, PolicyConfig, make_policy, sup_norm
 from .simulate import Trajectory, run
 
 # LU fill-in, not the state count, is what makes the direct solve explode
@@ -37,6 +37,8 @@ DIRECT_SOLVE_MAX_STATES = 5000
 # POWER_TOL in L1; any solve whose residual exceeds RESIDUAL_TOL is refused.
 POWER_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
+# The methods of stationary(), which the CLI also checks a config against.
+SOLVERS = ("auto", "direct", "power")
 
 
 class ConvergenceError(RuntimeError):
@@ -48,8 +50,7 @@ class TruncatedChain:
     spec: ModelSpec
     policy: PolicyConfig
     cap: int
-    states: tuple[State, ...]
-    index: dict[State, int]
+    states: np.ndarray  # (n, C) int64 count vectors in sorted order, the origin first
     P: sp.csr_matrix
     PT: sp.csr_matrix  # P transposed, for the forward pushes of the solvers
     sup_norms: np.ndarray
@@ -66,20 +67,18 @@ def truncate(spec: ModelSpec, policy: PolicyConfig, cap: int,
     """Build the truncated chain on the sup-norm ball of radius cap.
 
     The raw kernel is built over the whole box {0..cap}^C and restricted to
-    the states reachable from the origin; states are in sorted order.
-    max_states bounds the box size (cap + 1) ** C and is checked before
-    anything is allocated.
+    the states reachable from the origin; states is the grid of
+    transition_table, in sorted order with the origin first.  max_states
+    bounds the box size (cap + 1) ** C and is checked before anything is
+    allocated.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     grid, P = transition_table(spec, policy, cap, max_states)
-    states = tuple(map(tuple, grid.tolist()))
-    norms = grid.max(axis=1).astype(np.int64)
-    return TruncatedChain(spec=spec, policy=policy, cap=cap, states=states,
-                          index={x: k for k, x in enumerate(states)},
+    norms = grid.max(axis=1)
+    return TruncatedChain(spec=spec, policy=policy, cap=cap, states=grid,
                           P=P, PT=P.T.tocsr(), sup_norms=norms,
-                          parity=grid.sum(axis=1).astype(np.int64) & 1,
-                          boundary=norms >= cap - 1)
+                          parity=grid.sum(axis=1) & 1, boundary=norms >= cap - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,16 +136,15 @@ def stationary(chain: TruncatedChain, method: str = "auto", max_iter: int = 100_
     "auto" picks direct below 5000 states.  A residual above RESIDUAL_TOL
     raises ConvergenceError rather than returning a bad estimate.
     """
-    n = chain.n_states
+    if method not in SOLVERS:
+        raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "direct" if n < DIRECT_SOLVE_MAX_STATES else "power"
+        method = "direct" if chain.n_states < DIRECT_SOLVE_MAX_STATES else "power"
     if method == "direct":
         pi = _direct_solve(chain.PT)
         iterations = 0
-    elif method == "power":
-        pi, iterations = _power_solve(chain.PT, max_iter, parity_average)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        pi, iterations = _power_solve(chain.PT, max_iter, parity_average)
 
     pi = np.where(pi > 0.0, pi, 0.0)
     total = pi.sum()
@@ -236,6 +234,8 @@ def metrics(trajectories: Sequence[Trajectory]) -> MetricsSummary:
     rows = []
     returns = []
     for k, tr in enumerate(trajectories):
+        if tr.T < 1:
+            raise ValueError(f"metrics need at least one arrival, got T = {tr.T}")
         live = tr.t_grid > 0
         perfect_rate = float(tr.perfect[live].mean()) if live.any() else 0.0
         rows.append(ReplicaMetrics(

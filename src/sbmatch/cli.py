@@ -24,18 +24,23 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
 from . import analyze, kernel, simulate
 from .model import InvalidModelError, ModelSpec, make_spec, stability, walk_spec
-from .policy import BUILTIN_WEIGHTS, PolicyError, WeightFunction, make_policy
+from .policy import BUILTIN_WEIGHTS, PolicyConfig, WeightFunction, make_policy
 
 
 class ConfigError(ValueError):
     pass
+
+
+class UsageError(Exception):
+    """A verb that refuses to start; its message is printed as is, exit 2."""
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,10 @@ def load_config(path: str) -> ScenarioConfig:
             walk_set = tuple(spec.classes.index(lb) for lb in labels)
         except ValueError as exc:
             raise ConfigError(f"walk_set labels must be class labels: {exc}") from exc
+        try:
+            walk_spec(spec, walk_set)
+        except InvalidModelError as exc:
+            raise ConfigError(f"walk_set: {exc}") from exc
     run_params = RunParams(
         T=_int(rn.get("T", 10_000), "run.T"),
         replicas=_int(rn.get("replicas", 1), "run.replicas"),
@@ -165,10 +174,13 @@ def load_config(path: str) -> ScenarioConfig:
     )
 
     an = _typed(raw.get("analyze", {}), dict, "analyze")
+    solver = an.get("solver", "auto")
+    if solver not in analyze.SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r} (choose from {list(analyze.SOLVERS)})")
     analyze_params = AnalyzeParams(
         cap=_int(an.get("cap", 30), "analyze.cap"),
         max_norm=_int(an.get("max_norm", 10), "analyze.max_norm"),
-        solver=str(an.get("solver", "auto")),
+        solver=solver,
     )
 
     sw = _typed(raw.get("sweep", {}), dict, "sweep")
@@ -218,7 +230,7 @@ def _labels(spec: ModelSpec, members) -> list[str]:
     return [str(spec.classes[i]) for i in sorted(members)]
 
 
-def cmd_ncond(cfg: ScenarioConfig, out: str | None) -> int:
+def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec
     stab = stability(spec)
     doc = {
@@ -238,7 +250,7 @@ def cmd_ncond(cfg: ScenarioConfig, out: str | None) -> int:
             "sigma2": ws.sigma2,
             "c_bound": ws.c_bound,
         }
-    with _output(out) as fh:
+    with _output(args.out) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -253,92 +265,96 @@ def _ball(n_classes: int, max_norm: int):
     return itertools.product(range(max_norm + 1), repeat=n_classes)
 
 
-def cmd_drift(cfg: ScenarioConfig, max_norm: int, out: str | None, corrupt: bool = False) -> int:
+def _policy(cfg: ScenarioConfig) -> PolicyConfig:
+    return make_policy(cfg.spec, cfg.weight, alpha=cfg.alpha, n_check=cfg.n_check)
+
+
+def _seed(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
+    """--seed, else run.base_seed; there is no clock fallback."""
+    seed = args.seed if args.seed is not None else cfg.run.base_seed
+    if seed is None:
+        raise UsageError(f"{args.verb}: no seed given (set run.base_seed or pass --seed)")
+    return seed
+
+
+def cmd_drift(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec
-    stab = stability(spec)
-    if not stab.ncond:
-        print("drift: the certificate needs a positive stability margin", file=sys.stderr)
-        return 2
-    policy = make_policy(spec, cfg.weight, alpha=cfg.alpha, n_check=cfg.n_check)
+    if not stability(spec).ncond:
+        raise UsageError("drift: the certificate needs a positive stability margin")
+    policy = _policy(cfg)
+    ball = _ball(spec.n_classes, args.max_norm)
     header = [f"x_{c}" for c in spec.classes] + ["drift", "bound", "slack", "status"]
-    failures = 0
-    rows = []
-    for x in _ball(spec.n_classes, max_norm):
-        if corrupt:  # negative control: the sweep must then fail
-            d, b = kernel.corrupted_drift_q(spec, policy, x), kernel.theorem_bound(spec, policy, x)
-        else:
-            rep = kernel.check_main_drift(spec, policy, x)
-            d, b = rep.drift, rep.bound
-        slack = b - d
-        ok = slack >= -kernel.INEQ_TOL
-        if not ok:
-            failures += 1
-        rows.append(list(x) + [d, b, slack, "pass" if ok else "fail"])
-    _write_csv(out, header, rows)
-    print(f"drift: {len(rows)} states, {failures} failures")
-    return 1 if failures else 0
+    seen = Counter()
 
-
-def cmd_appendix(cfg: ScenarioConfig, max_norm: int, out: str | None) -> int:
-    spec = cfg.spec
-    policy = make_policy(spec, cfg.weight, alpha=cfg.alpha, n_check=cfg.n_check)
-    header = [f"x_{c}" for c in spec.classes] + ["step", "applicable", "lhs", "rhs", "slack", "status"]
-    failures = 0
-    checked = 0
-    rows = []
-    for x in _ball(spec.n_classes, max_norm):
-        report = kernel.verify_drift_chain(spec, policy, x)
-        for st in report.steps:
-            if st.applicable:
-                checked += 1
-                status = "pass" if st.passed else "fail"
-                if not st.passed:
-                    failures += 1
-                rows.append(list(x) + [st.name, 1, st.lhs, st.rhs, st.slack, status])
+    def rows():
+        for x in ball:
+            if args.corrupt_kernel:  # negative control: the sweep must then fail
+                d, b = kernel.corrupted_drift_q(spec, policy, x), kernel.theorem_bound(spec, policy, x)
             else:
-                rows.append(list(x) + [st.name, 0, "", "", "", "skipped"])
-    _write_csv(out, header, rows)
-    print(f"appendix: {checked} applicable checks, {failures} failures")
-    return 1 if failures else 0
+                rep = kernel.check_main_drift(spec, policy, x)
+                d, b = rep.drift, rep.bound
+            slack = b - d
+            status = "pass" if slack >= -kernel.INEQ_TOL else "fail"
+            seen[status] += 1
+            yield [*x, d, b, slack, status]
+
+    _write_csv(args.out, header, rows())
+    print(f"drift: {seen.total()} states, {seen['fail']} failures")
+    return 1 if seen["fail"] else 0
 
 
-def cmd_simulate(cfg: ScenarioConfig, out: str | None, seed_override: int | None) -> int:
+def cmd_appendix(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec
-    base_seed = seed_override if seed_override is not None else cfg.run.base_seed
-    if base_seed is None:
-        print("simulate: no seed given (set run.base_seed or pass --seed)", file=sys.stderr)
-        return 2
-    policy = make_policy(spec, cfg.weight, alpha=cfg.alpha, n_check=cfg.n_check)
+    policy = _policy(cfg)
+    ball = _ball(spec.n_classes, args.max_norm)
+    header = [f"x_{c}" for c in spec.classes] + ["step", "applicable", "lhs", "rhs", "slack", "status"]
+    seen = Counter()
+
+    def rows():
+        for x in ball:
+            for st in kernel.verify_drift_chain(spec, policy, x).steps:
+                if st.applicable:
+                    status, values = "pass" if st.passed else "fail", [1, st.lhs, st.rhs, st.slack]
+                else:
+                    status, values = "skipped", [0, "", "", ""]
+                seen[status] += 1
+                yield [*x, st.name, *values, status]
+
+    _write_csv(args.out, header, rows())
+    print(f"appendix: {seen['pass'] + seen['fail']} applicable checks, {seen['fail']} failures")
+    return 1 if seen["fail"] else 0
+
+
+def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
+    spec = cfg.spec
+    base_seed = _seed(cfg, args)
+    policy = _policy(cfg)
     walks = [cfg.run.walk_set] if cfg.run.walk_set is not None else []
     header = ["replica", "t"] + [f"x_{c}" for c in spec.classes] \
-        + ["sup_norm", "matched_pairs", "perfect"]
-    if cfg.run.walk_set is not None:
-        header.append("walk_S")
+        + ["sup_norm", "matched_pairs", "perfect"] + ["walk_S"] * len(walks)
     trajs = simulate.run_replicas(spec, policy, cfg.run.T, base_seed, cfg.run.replicas,
                                   sample_every=cfg.run.sample_every, track_walks=walks)
-    rows = []
-    for rep, tr in enumerate(trajs):
-        walk = tr.walks[frozenset(cfg.run.walk_set)] if cfg.run.walk_set is not None else None
-        for k, t in enumerate(tr.t_grid):
-            row = [rep, int(t)] + [int(v) for v in tr.x[k]] \
-                + [int(tr.sup_norm[k]), int(tr.matched_pairs[k]), bool(tr.perfect[k])]
-            if walk is not None:
-                row.append(int(walk[k]))
-            rows.append(row)
-    _write_csv(out, header, rows)
+
+    def rows():
+        for rep, tr in enumerate(trajs):
+            cols = [tr.t_grid, *tr.x.T, tr.sup_norm, tr.matched_pairs, tr.perfect,
+                    *(tr.walks[frozenset(w)] for w in walks)]
+            for row in zip(*(c.tolist() for c in cols)):
+                yield [rep, *row]
+
+    _write_csv(args.out, header, rows())
     return 0
 
 
-def cmd_stationary(cfg: ScenarioConfig, out: str | None) -> int:
+def cmd_stationary(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec
-    policy = make_policy(spec, cfg.weight, alpha=cfg.alpha, n_check=cfg.n_check)
+    policy = _policy(cfg)
     chain = analyze.truncate(spec, policy, cfg.analyze.cap)
     est = analyze.stationary(chain, method=cfg.analyze.solver)
-    stab = stability(spec)
-    bound = analyze.invariant_mean_bound(spec, policy) if stab.ncond else None
+    bound = analyze.invariant_mean_bound(spec, policy) if stability(spec).ncond else None
     bound_ok = (est.mean_sup_norm <= bound + 1e-9) if bound is not None else None
     header = [f"x_{c}" for c in spec.classes] + ["pi"]
-    _write_csv(out, header, (list(x) + [est.pi[k]] for k, x in enumerate(chain.states)))
+    _write_csv(args.out, header, ([*x.tolist(), p] for x, p in zip(chain.states, est.pi)))
     doc = {
         "n_states": chain.n_states,
         "cap": cfg.analyze.cap,
@@ -355,20 +371,18 @@ def cmd_stationary(cfg: ScenarioConfig, out: str | None) -> int:
     return 0 if bound_ok is None or bound_ok else 1
 
 
-def cmd_sweep(cfg: ScenarioConfig, out: str | None, seed_override: int | None) -> int:
-    base_seed = seed_override if seed_override is not None else cfg.run.base_seed
-    if base_seed is None:
-        print("sweep: no seed given (set run.base_seed or pass --seed)", file=sys.stderr)
-        return 2
+def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
+    base_seed = _seed(cfg, args)
     if not cfg.sweep_models:
-        print("sweep: config has no sweep.models", file=sys.stderr)
-        return 2
+        raise UsageError("sweep: config has no sweep.models")
     rows = analyze.eta_sweep(cfg.sweep_models, cfg.sweep_T, base_seed,
                              cfg.sweep_replicas, weight=cfg.weight, n_check=cfg.n_check)
-    header = ["id", "eta", "ncond", "growth", "perfect_rate", "mean_return_time"]
-    _write_csv(out, header, ([r.id, r.eta, r.ncond, r.growth, r.perfect_rate,
-                              r.mean_return_time] for r in rows))
+    _write_csv(args.out, [f.name for f in fields(analyze.SweepRow)], map(astuple, rows))
     return 0
+
+
+VERBS = {"ncond": cmd_ncond, "drift": cmd_drift, "appendix": cmd_appendix,
+         "simulate": cmd_simulate, "stationary": cmd_stationary, "sweep": cmd_sweep}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -381,14 +395,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--max-norm", type=int, default=None,
                         help="sup-norm radius for drift and appendix sweeps")
     sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser("ncond")
-    p_drift = sub.add_parser("drift")
-    p_drift.add_argument("--corrupt-kernel", action="store_true",
-                         help="negative control: flip every matching step upward")
-    sub.add_parser("appendix")
-    sub.add_parser("simulate")
-    sub.add_parser("stationary")
-    sub.add_parser("sweep")
+    verbs = {verb: sub.add_parser(verb) for verb in VERBS}
+    verbs["drift"].add_argument("--corrupt-kernel", action="store_true",
+                                help="negative control: flip every matching step upward")
     args = parser.parse_args(argv)
 
     try:
@@ -397,25 +406,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    max_norm = args.max_norm if args.max_norm is not None else cfg.analyze.max_norm
+    if args.max_norm is None:
+        args.max_norm = cfg.analyze.max_norm
     try:
-        if args.verb == "ncond":
-            return cmd_ncond(cfg, args.out)
-        if args.verb == "drift":
-            return cmd_drift(cfg, max_norm, args.out, corrupt=args.corrupt_kernel)
-        if args.verb == "appendix":
-            return cmd_appendix(cfg, max_norm, args.out)
-        if args.verb == "simulate":
-            return cmd_simulate(cfg, args.out, args.seed)
-        if args.verb == "stationary":
-            return cmd_stationary(cfg, args.out)
-        if args.verb == "sweep":
-            return cmd_sweep(cfg, args.out, args.seed)
-    except (PolicyError, InvalidModelError, kernel.KernelError, ValueError,
-            analyze.ConvergenceError) as exc:
+        return VERBS[args.verb](cfg, args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except (ValueError, analyze.ConvergenceError) as exc:  # model, policy, kernel errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable verb")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelSpec, neighborhood, root_graph
+from .model import ModelSpec, neighborhood, root_graph, walk_spec
 from .policy import PolicyConfig, State, select_class
 
 FULL_GRAPH_MAX_T = 1000
@@ -212,9 +212,7 @@ def coupled_walk(spec: ModelSpec, independent_set: Iterable[int],
     dominates this walk pathwise, whatever the policy does.
     """
     graph = root_graph(spec)
-    members = frozenset(independent_set)
-    if any(graph.adjacency[i][j] for i in members for j in members):
-        raise ValueError("the comparison walk needs an independent set")
+    members = walk_spec(spec, independent_set).independent_set  # refuses a dependent set
     delta = np.zeros(spec.n_classes, dtype=np.int64)
     for j in neighborhood(graph, members):
         delta[j] = -1

@@ -7,8 +7,10 @@ import pytest
 
 from sbmatch import (
     ConvergenceError,
+    analyze,
     eta_sweep,
     invariant_mean_bound,
+    kernel,
     make_policy,
     metrics,
     reachable_check,
@@ -40,9 +42,26 @@ def test_truncate_rows_are_stochastic(tri_chain):
     assert (diag > 0.0).any()
     assert np.all(ch.sup_norms[diag > 0.0] == ch.cap)
     assert np.array_equal(ch.boundary, ch.sup_norms >= ch.cap - 1)
-    for k, x in enumerate(ch.states):
-        assert ch.index[x] == k
+    # the states are sorted and distinct, so each one's row is its index
+    keys = np.ravel_multi_index(ch.states.T, (ch.cap + 1,) * ch.states.shape[1])
+    assert np.all(np.diff(keys) > 0)
+    for k, x in enumerate(ch.states.tolist()):
         assert ch.parity[k] == sum(x) % 2
+
+
+def test_truncate_keeps_the_grid_of_the_transition_table(monkeypatch):
+    tri = scenarios.triangle()
+    tables = []
+
+    def table(*args):
+        tables.append(kernel.transition_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(analyze, "transition_table", table)
+    ch = truncate(tri, make_policy(tri), 3)
+    assert ch.states is tables[0][0]
+    assert ch.states.dtype == np.int64 and ch.states.shape == (ch.n_states, 3)
+    assert not hasattr(ch, "index")
 
 
 def test_truncate_guards():
@@ -73,8 +92,8 @@ def test_truncate_matches_scalar_oracle(name, weight, cap):
     assert np.array_equal(ch.P.indptr, P.indptr)
     assert np.array_equal(ch.P.indices, P.indices)
     assert np.array_equal(ch.P.data.view(np.int64), P.data.view(np.int64))
-    assert ch.states == states
-    assert ch.index == index
+    assert ch.states.tolist() == [list(x) for x in states]
+    assert [index[x] for x in map(tuple, ch.states.tolist())] == list(range(ch.n_states))
     assert np.array_equal(ch.parity, parity)
     assert np.array_equal(ch.sup_norms, norms)
     assert np.array_equal(ch.boundary, boundary)
@@ -93,7 +112,7 @@ def test_single_selfloop_matches_birth_death_product_form(p):
     for x in range(30):
         weights.append(weights[-1] * (1.0 - p) ** x / (1.0 - (1.0 - p) ** (x + 1)))
     expected = np.asarray(weights) / sum(weights)
-    assert ch.states == tuple((x,) for x in range(31))
+    assert ch.states.tolist() == [[x] for x in range(31)]
     np.testing.assert_allclose(stationary(ch, "direct").pi, expected, rtol=0.0, atol=1e-12)
 
 
@@ -101,9 +120,9 @@ def test_two_state_chain_solved_exactly():
     # cap 1 on the self-matching class: pi(0) = r / (1 + r) by hand
     solo = scenarios.single_selfloop(0.5)
     ch = truncate(solo, make_policy(solo), 1)
-    assert set(ch.states) == {(0,), (1,)}
+    assert ch.states.tolist() == [[0], [1]]  # the origin comes first
     est = stationary(ch, method="direct")
-    pi0 = est.pi[ch.index[(0,)]]
+    pi0 = est.pi[0]
     assert pi0 == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert est.mean_sup_norm == pytest.approx(2.0 / 3.0, abs=1e-12)
 

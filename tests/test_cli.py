@@ -1,7 +1,9 @@
 """End-to-end checks of the command line verbs on temp-file configs."""
 
 import csv
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -243,6 +245,47 @@ def test_sweep_csv(tmp_path, capsys):
     no_seed["run"] = {"T": 100}
     assert main(["--config", write_cfg(tmp_path, no_seed, "ns.json"),
                  "sweep"]) == 2
+
+
+def test_sweep_without_arrivals_exits_2(tmp_path, capsys):
+    doc = triangle_cfg()
+    doc["sweep"] = {"T": 0, "replicas": 1,
+                    "models": [{"id": "t", "model": triangle_cfg()["model"]}]}
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["appendix", "drift"])
+def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
+    # rows are written as they are made: 343 and 2197 states at radii 6 and
+    # 12 must peak alike (holding appendix rows would cost about 860 B per state)
+    cfg, out = write_cfg(tmp_path, triangle_cfg()), str(tmp_path / "sweep.csv")
+    main(["--config", cfg, "--out", out, "--max-norm", "1", verb])  # warm the caches
+    peaks = []
+    for radius in (6, 12):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["--config", cfg, "--out", out, "--max-norm", str(radius), verb]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 200_000, peaks
+
+
+@pytest.mark.parametrize("section,key,value,match", [
+    ("analyze", "solver", ["power"], "solver"),
+    ("analyze", "solver", "lu", "solver"),
+    ("run", "walk_set", ["a", "b"], "walk_set"),
+], ids=["solver-list", "solver-name", "walk-set-not-independent"])
+def test_load_config_refuses_bad_solver_and_walk_set(tmp_path, section, key, value, match):
+    doc = sweep_cfg()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=match):
+        load_config(write_cfg(tmp_path, doc))
 
 
 @pytest.mark.parametrize("section,key,value", [

@@ -42,7 +42,6 @@ from .kernel import (
     ChainReport,
     DriftReport,
     KernelError,
-    KernelVariant,
     ReachabilityReport,
     TransitionRow,
     check_main_drift,

@@ -6,8 +6,8 @@ a boundary self-loop.  The stationary law of the truncation is solved
 directly for moderate state counts and by power iteration on the two-step
 kernel otherwise.  The chain is periodic with period two away from the
 boundary (each arrival changes the total count by one), so the power method
-averages the two parity phases, and the per-parity components of the
-stationary law are exposed for convergence diagnostics.
+starts from the average of the two parity phases, and the per-parity
+components of the stationary law are exposed for convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -108,23 +108,16 @@ def _direct_solve(PT: sp.csr_matrix) -> np.ndarray:
 def _power_solve(PT: sp.csr_matrix, max_iter: int, parity_average: bool) -> tuple[np.ndarray, int]:
     n = PT.shape[0]
     u = np.full(n, 1.0 / n)
-    if not parity_average:
-        for it in range(1, max_iter + 1):
-            nxt = PT @ (PT @ u)
-            if np.abs(nxt - u).sum() < POWER_TOL:
-                return nxt, it
-            u = nxt
-        return u, max_iter
-    w = PT @ u
-    avg = 0.5 * (u + w)
+    if parity_average:
+        # The parity-averaged iterates (P^2k u + P^(2k+1) u) / 2 are the
+        # two-step iterates of the averaged start (u + P u) / 2.
+        u = 0.5 * (u + PT @ u)
     for it in range(1, max_iter + 1):
-        u = PT @ w
-        w = PT @ u
-        nxt = 0.5 * (u + w)
-        if np.abs(nxt - avg).sum() < POWER_TOL:
+        nxt = PT @ (PT @ u)
+        if np.abs(nxt - u).sum() < POWER_TOL:
             return nxt, it
-        avg = nxt
-    return avg, max_iter
+        u = nxt
+    return u, max_iter
 
 
 def stationary(chain: TruncatedChain, method: str = "auto", max_iter: int = 100_000,
@@ -132,9 +125,10 @@ def stationary(chain: TruncatedChain, method: str = "auto", max_iter: int = 100_
     """Solve pi P = pi on the truncated chain.
 
     method "direct" solves the sparse linear system, "power" iterates the
-    two-step kernel (averaging the two parity phases unless disabled), and
-    "auto" picks direct below 5000 states.  A residual above RESIDUAL_TOL
-    raises ConvergenceError rather than returning a bad estimate.
+    two-step kernel from the average of the two parity phases (from the
+    uniform vector when parity_average is off), and "auto" picks direct
+    below 5000 states.  A residual above RESIDUAL_TOL raises
+    ConvergenceError rather than returning a bad estimate.
     """
     if method not in SOLVERS:
         raise ValueError(f"unknown method {method!r}")

@@ -90,6 +90,13 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _count(value, what: str) -> int:
+    n = _int(value, what)
+    if n < 0:
+        raise ConfigError(f"{what} must be non-negative, got {n}")
+    return n
+
+
 def _parse_nu_entry(v):
     if isinstance(v, str):
         try:
@@ -165,8 +172,8 @@ def load_config(path: str) -> ScenarioConfig:
         except InvalidModelError as exc:
             raise ConfigError(f"walk_set: {exc}") from exc
     run_params = RunParams(
-        T=_int(rn.get("T", 10_000), "run.T"),
-        replicas=_int(rn.get("replicas", 1), "run.replicas"),
+        T=_count(rn.get("T", 10_000), "run.T"),
+        replicas=_count(rn.get("replicas", 1), "run.replicas"),
         base_seed=_int(rn["base_seed"], "run.base_seed") if "base_seed" in rn else None,
         sample_every=_int(rn["sample_every"], "run.sample_every")
         if rn.get("sample_every") is not None else None,
@@ -194,8 +201,8 @@ def load_config(path: str) -> ScenarioConfig:
         spec=spec, weight=weight, alpha=alpha, n_check=n_check,
         run=run_params, analyze=analyze_params,
         sweep_models=tuple(sweep_models),
-        sweep_T=_int(sw.get("T", run_params.T), "sweep.T"),
-        sweep_replicas=_int(sw.get("replicas", run_params.replicas), "sweep.replicas"),
+        sweep_T=_count(sw.get("T", run_params.T), "sweep.T"),
+        sweep_replicas=_count(sw.get("replicas", run_params.replicas), "sweep.replicas"),
     )
 
 

@@ -36,18 +36,11 @@ class KernelError(ValueError):
     """Raised on kernel precondition violations."""
 
 
-@dataclass(frozen=True)
-class KernelVariant:
-    """A tag plus the effective compatibility matrix it induces."""
-
-    tag: str
-    rho: tuple[tuple[float, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def kernel_variant(spec: ModelSpec, tag: str) -> KernelVariant:
+def kernel_variant(spec: ModelSpec, tag: str) -> tuple[tuple[float, ...], ...]:
+    """The compatibility matrix of a variant: "raw", "homogenized" or "binarized"."""
     if tag == "raw":
-        return KernelVariant("raw", spec.rho)
+        return spec.rho
     graph = root_graph(spec)
     if tag == "homogenized":
         if graph.rho_min is None:
@@ -57,9 +50,8 @@ def kernel_variant(spec: ModelSpec, tag: str) -> KernelVariant:
         fill = 1.0
     else:
         raise KernelError(f"unknown kernel variant {tag!r}")
-    rho = tuple(tuple(fill if graph.adjacency[i][j] else 0.0 for j in range(graph.n_classes))
-                for i in range(graph.n_classes))
-    return KernelVariant(tag, rho)
+    return tuple(tuple(fill if graph.adjacency[i][j] else 0.0 for j in range(graph.n_classes))
+                 for i in range(graph.n_classes))
 
 
 def pow_int(base: float, n: int) -> float:
@@ -91,12 +83,12 @@ class TransitionRow:
         return sum(p for _, p in self.entries)
 
 
-def _arrival_moves(spec: ModelSpec, policy: PolicyConfig, var: KernelVariant, x: State):
-    """Per arrival class i: the targeted class j, the probability of a match
-    there (a decrement of j) and of none (an increment of i)."""
+def _arrival_moves(spec: ModelSpec, policy: PolicyConfig, rho, x: State):
+    """Per arrival class i: the class j targeted under rho, the probability
+    of a match there (a decrement of j) and of none (an increment of i)."""
     for i in range(spec.n_classes):
-        j = select_class(policy.weight, policy.alpha, x, var.rho[i])
-        miss = pow_int(1.0 - var.rho[i][j], x[j])
+        j = select_class(policy.weight, policy.alpha, x, rho[i])
+        miss = pow_int(1.0 - rho[i][j], x[j])
         yield i, j, spec.nu[i] * (1.0 - miss), spec.nu[i] * miss
 
 
@@ -106,12 +98,12 @@ def transition_row(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[i
     Every successor differs from x in exactly one coordinate by one unit;
     decrements to the same target class are merged across arrival classes.
     """
-    var = kernel_variant(spec, variant)
+    rho = kernel_variant(spec, variant)
     x = tuple(int(v) for v in x)
     if any(v < 0 for v in x):
         raise KernelError("negative count")
     probs: dict[State, float] = {}
-    for i, j, p_yes, p_no in _arrival_moves(spec, policy, var, x):
+    for i, j, p_yes, p_no in _arrival_moves(spec, policy, rho, x):
         if p_yes > 0.0:
             y = x[:j] + (x[j] - 1,) + x[j + 1:]
             probs[y] = probs.get(y, 0.0) + p_yes
@@ -132,26 +124,27 @@ def drift(spec: ModelSpec, policy: PolicyConfig, variant, h: Callable[[State], f
     return sum(p * h(y) for y, p in row.entries) - h(row.state)
 
 
-def drift_q(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int]) -> float:
-    """Drift of q(x) = sum x(i)^2 via the closed form
-    1 + sum_i 2 x(i) P(x, x + e_i) - sum_j 2 x(j) P(x, x - e_j)."""
+def _q_drift(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int], match: int) -> float:
+    """sum_i P(x, x + e_i) (2 x(i) + 1) + sum_j P(x, x - e_j) (1 + 2 match x(j)):
+    the drift of q for match = -1, its negative control for match = +1."""
     x = tuple(int(v) for v in x)
     total = 0.0
     for i, j, p_yes, p_no in _arrival_moves(spec, policy, kernel_variant(spec, variant), x):
-        total += p_no * (2 * x[i] + 1) + p_yes * (1 - 2 * x[j])
+        total += p_no * (2 * x[i] + 1) + p_yes * (1 + 2 * match * x[j])
     return total
+
+
+def drift_q(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int]) -> float:
+    """Drift of q(x) = sum x(i)^2 via the closed form
+    1 + sum_i 2 x(i) P(x, x + e_i) - sum_j 2 x(j) P(x, x - e_j)."""
+    return _q_drift(spec, policy, variant, x, -1)
 
 
 def corrupted_drift_q(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) -> float:
     """Drift of q under the raw kernel with every matching step flipped
-    upward, as a sign error in the match indicator would make it:
-    sum_i P(x, x + e_i) (2 x(i) + 1) + sum_j P(x, x - e_j) (2 x(j) + 1).
-    This is the negative control of the drift sweep."""
-    x = tuple(int(v) for v in x)
-    total = 0.0
-    for i, j, p_yes, p_no in _arrival_moves(spec, policy, kernel_variant(spec, "raw"), x):
-        total += p_no * (2 * x[i] + 1) + p_yes * (2 * x[j] + 1)
-    return total
+    upward, as a sign error in the match indicator would make it: drift_q's
+    closed form with 2 x(j) + 1 for 1 - 2 x(j).  The drift sweep's negative control."""
+    return _q_drift(spec, policy, "raw", x, 1)
 
 
 def theorem_bound(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) -> float:
@@ -337,14 +330,15 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
     else:
         steps.append(_skipped("independent"))
 
-    if loopfree_ok and counts_ok and indep_ok:
-        steps.append(_checked("certain_match", d_hom,
-                              drift_q(spec, policy, "binarized", x) + 2.0 * graph.K))
+    bin_ok = loopfree_ok and indep_ok
+    d_bin = drift_q(spec, policy, "binarized", x) \
+        if bin_ok and (counts_ok or stab.ncond) else None
+    if bin_ok and counts_ok:
+        steps.append(_checked("certain_match", d_hom, d_bin + 2.0 * graph.K))
     else:
         steps.append(_skipped("certain_match"))
 
-    if stab.ncond and loopfree_ok and indep_ok:
-        d_bin = drift_q(spec, policy, "binarized", x)
+    if bin_ok and stab.ncond:
         norm = sup_norm(x)
         rhs = 1.0 if norm == 0 else 1.0 - 2.0 * stab.eta * norm
         steps.append(_checked("margin", d_bin, rhs))

@@ -12,7 +12,7 @@ sets of that graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -36,12 +36,14 @@ class ModelSpec:
 
     nu_exact carries the arrival probabilities as fractions when the model was
     built from rational input; the stability margin then uses them as given.
+    It is compared but not hashed: the per-spec caches hash on every lookup,
+    and nu, its float image, already sets the hash.
     """
 
     classes: tuple
     nu: tuple[float, ...]
     rho: tuple[tuple[float, ...], ...]
-    nu_exact: tuple[Fraction, ...] | None = None
+    nu_exact: tuple[Fraction, ...] | None = field(default=None, hash=False)
 
     @property
     def n_classes(self) -> int:

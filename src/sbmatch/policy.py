@@ -93,9 +93,10 @@ def n_star(weight: WeightFunction, r: float, n_check: int = 10_000) -> int:
         raise PolicyError(f"r must lie in (0, 1], got {r!r}")
     if n_check < 1:
         raise PolicyError("n_check must be at least 1")
-    n = np.arange(1, n_check + 1)
-    ok = (np.asarray(weight(n - 1, 1.0)) < np.asarray(weight(n, r))) \
-        & (np.asarray(weight(n, 1.0)) < np.asarray(weight(n + 1, r)))
+    n = np.arange(0, n_check + 2)
+    # below[k] is w(k, 1) < w(k + 1, r); the threshold test at n is below[n - 1] & below[n].
+    below = np.asarray(weight(n, 1.0))[:-1] < np.asarray(weight(n, r))[1:]
+    ok = below[:-1] & below[1:]
     if not ok[-1]:
         raise PolicyError(f"no threshold m found in [1, {n_check}] for r={r}")
     bad = np.nonzero(~ok)[0]

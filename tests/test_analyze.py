@@ -150,6 +150,30 @@ def test_power_needs_parity_averaging():
     assert est.residual < 1e-10
 
 
+@pytest.mark.parametrize("name,weight,cap,iterations,failed_at", [
+    ("mixed_selfloop", W1, 4, 345, None),
+    ("mixed_selfloop", W2, 5, 281, "1.597e-10"),
+    ("triangle", W1, 18, 171, None),
+    ("path3", W2, 20, 662, None),
+    ("single_selfloop", W1, 30, 33, None),
+])
+def test_power_iteration_counts_and_verdicts(name, weight, cap, iterations, failed_at):
+    # pinned values of the parity-averaged power iteration: how many two-step
+    # iterations it takes, whether it meets the residual gate, and where it
+    # does, that it lands within the gate's scale of the direct solve (the
+    # L1 gap is up to 3.3e-11 here, set by POWER_TOL and the mixing speed)
+    spec = getattr(scenarios, name)()
+    ch = truncate(spec, make_policy(spec, weight), cap)
+    if failed_at is not None:
+        assert analyze._power_solve(ch.PT, 100_000, True)[1] == iterations
+        with pytest.raises(ConvergenceError, match=f"residual {failed_at} exceeds"):
+            stationary(ch, method="power")
+        return
+    power = stationary(ch, method="power")
+    assert power.iterations == iterations
+    assert np.abs(power.pi - stationary(ch, method="direct").pi).sum() < 1e-10
+
+
 def test_stationary_rejects_unknown_method(tri_chain):
     with pytest.raises(ValueError):
         stationary(tri_chain, method="cramer")

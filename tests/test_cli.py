@@ -258,6 +258,16 @@ def test_sweep_without_arrivals_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,key", [
+    ("run", "T"), ("run", "replicas"), ("sweep", "T"), ("sweep", "replicas"),
+])
+def test_load_config_refuses_negative_counts(tmp_path, section, key):
+    doc = sweep_cfg()
+    doc[section][key] = -1
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(write_cfg(tmp_path, doc))
+
+
 @pytest.mark.parametrize("verb", ["appendix", "drift"])
 def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
     # rows are written as they are made: 343 and 2197 states at radii 6 and

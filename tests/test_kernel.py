@@ -84,10 +84,10 @@ def test_variant_matrices_preserve_sign_pattern(mixed_spec):
     for i in range(4):
         for j in range(4):
             edge = mixed_spec.rho[i][j] > 0.0
-            assert (hom.rho[i][j] > 0.0) == edge
-            assert bin_.rho[i][j] == (1.0 if edge else 0.0)
+            assert (hom[i][j] > 0.0) == edge
+            assert bin_[i][j] == (1.0 if edge else 0.0)
             if edge:
-                assert hom.rho[i][j] == pytest.approx(0.3)
+                assert hom[i][j] == pytest.approx(0.3)
 
 
 def test_unknown_variant_rejected(triangle_spec):

@@ -196,6 +196,21 @@ def test_stability_float_rates_decide_the_sign_exactly():
     assert (exact.eta_exact, exact.ncond) == (rep.eta_exact, rep.ncond)
 
 
+@pytest.mark.parametrize("r,exact_first", [(0.41, True), (0.43, False)])
+def test_exact_and_float_rates_share_a_hash_but_not_a_cache_entry(r, exact_first):
+    # nu_exact is left out of the hash, so these two specs collide in the
+    # per-spec caches; equality still tells them apart, whatever the order
+    rho = ((0.0, r, r), (r, 0.0, r), (r, r, 0.0))
+    exact = make_spec("xyz", (Fraction(1, 3),) * 3, rho)
+    approx = make_spec("xyz", (1 / 3,) * 3, rho)
+    assert hash(exact) == hash(approx)
+    assert exact != approx
+    order = (exact, approx) if exact_first else (approx, exact)
+    got = {id(spec): stability(spec).eta_exact for spec in order}
+    assert got[id(exact)] == Fraction(1, 3)
+    assert got[id(approx)] == Fraction(3333333333333333, 10 ** 16)
+
+
 def test_stability_vacuous_when_no_independent_set(solo_spec):
     rep = stability(solo_spec)
     assert rep.ncond

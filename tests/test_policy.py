@@ -70,6 +70,31 @@ def test_n_star_rejects_rate_zero():
         n_star(W1, 0.0)
 
 
+def four_evaluation_n_star(weight, r, n_check):
+    """The threshold scan with each side of both inequalities evaluated on
+    its own shifted range; None when no threshold lies in the window."""
+    n = np.arange(1, n_check + 1)
+    ok = (np.asarray(weight(n - 1, 1.0)) < np.asarray(weight(n, r))) \
+        & (np.asarray(weight(n, 1.0)) < np.asarray(weight(n + 1, r)))
+    if not ok[-1]:
+        return None
+    bad = np.nonzero(~ok)[0]
+    return int(bad[-1]) + 2 if bad.size else 1
+
+
+@pytest.mark.parametrize("n_check", [50, 500, 10_000])
+def test_n_star_matches_the_four_evaluation_scan(n_check):
+    saturating = WeightFunction("saturating", lambda n, r: n * -np.expm1(-np.multiply(n, r)))
+    for weight in (W1, W2, saturating):
+        for r in np.linspace(1.0, 1e-3, 300).tolist() + [0.3, 0.5]:
+            expected = four_evaluation_n_star(weight, r, n_check)
+            if expected is None:
+                with pytest.raises(PolicyError):
+                    n_star(weight, r, n_check)
+            else:
+                assert n_star(weight, r, n_check) == expected, (weight.name, r)
+
+
 def test_check_assumption_passes_for_builtins():
     for weight in (W1, W2):
         rep = check_assumption(weight)

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .kernel import BOX_MAX_STATES, transition_table
 # Kept as a module attribute: the benchmark's layer tracer
@@ -27,6 +25,11 @@ from .kernel import transition_row  # noqa: F401
 from .model import ModelSpec, root_graph, stability
 from .policy import W1, PolicyConfig, make_policy, sup_norm
 from .simulate import Trajectory, run
+
+# scipy is imported inside the functions that use it, so that importing the
+# package does not load it (tests/test_import.py).
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # LU fill-in, not the state count, is what makes the direct solve explode
 # on these lattice-shaped graphs, so the direct route is reserved for
@@ -97,6 +100,9 @@ class StationaryEstimate:
 
 def _direct_solve(PT: sp.csr_matrix) -> np.ndarray:
     """pi (P - I) = 0 with its last equation replaced by sum(pi) = 1."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = PT.shape[0]
     A = sp.vstack([(PT - sp.identity(n, format="csr"))[:-1], sp.csr_matrix(np.ones((1, n)))],
                   format="csc")

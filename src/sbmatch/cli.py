@@ -174,7 +174,7 @@ def load_config(path: str) -> ScenarioConfig:
     run_params = RunParams(
         T=_count(rn.get("T", 10_000), "run.T"),
         replicas=_count(rn.get("replicas", 1), "run.replicas"),
-        base_seed=_int(rn["base_seed"], "run.base_seed") if "base_seed" in rn else None,
+        base_seed=_count(rn["base_seed"], "run.base_seed") if "base_seed" in rn else None,
         sample_every=_int(rn["sample_every"], "run.sample_every")
         if rn.get("sample_every") is not None else None,
         walk_set=walk_set,
@@ -278,6 +278,8 @@ def _policy(cfg: ScenarioConfig) -> PolicyConfig:
 
 def _seed(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     """--seed, else run.base_seed; there is no clock fallback."""
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"{args.verb}: --seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else cfg.run.base_seed
     if seed is None:
         raise UsageError(f"{args.verb}: no seed given (set run.base_seed or pass --seed)")

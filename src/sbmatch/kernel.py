@@ -19,15 +19,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 from .model import ModelSpec, root_graph, stability
 from .policy import (WEIGHT_TOL, PolicyConfig, State, select_class, support, sup_norm,
                      sup_norm_over)
+
+# scipy is imported inside the functions that use it, so that importing the
+# package does not load it (tests/test_import.py).
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 INEQ_TOL = 1e-9
 
@@ -374,6 +377,9 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig, cap: int,
     the same class accumulate over ascending arrival classes, and the fold
     sums increments over descending classes (the order of the sorted row).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order
+
     if cap < 0:
         raise KernelError("cap must be non-negative")
     C = spec.n_classes
@@ -432,6 +438,8 @@ def reachable_check(spec: ModelSpec, policy: PolicyConfig, cap: int) -> Reachabi
     isolated class blocks all returns once one of its nodes arrives, and a
     box (cap + 1) ** C of at most BOX_MAX_STATES states.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     graph = root_graph(spec)
     for i in range(graph.n_classes):
         if not any(graph.adjacency[i]):

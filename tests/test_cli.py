@@ -268,6 +268,23 @@ def test_load_config_refuses_negative_counts(tmp_path, section, key):
         load_config(write_cfg(tmp_path, doc))
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_is_refused_by_name(tmp_path, capsys, where):
+    doc = triangle_cfg()
+    flag = []
+    if where == "config":
+        doc["run"]["base_seed"] = -1
+    else:
+        flag = ["--seed", "-1"]
+    out = tmp_path / "sim.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), *flag,
+                 "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert ("run.base_seed" if where == "config" else "--seed") in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["appendix", "drift"])
 def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
     # rows are written as they are made: 343 and 2197 states at radii 6 and

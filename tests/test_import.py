@@ -1,0 +1,61 @@
+"""Cold-start checks, each in a fresh interpreter: importing the package and
+running the verbs that do no sparse linear algebra must not load scipy, and
+the one verb that does (stationary) must find its deferred imports."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+TRIANGLE = {"classes": ["a", "b", "c"], "nu": ["1/3", "1/3", "1/3"],
+            "rho": [[0.0, 0.3, 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]]}
+
+# Runs in the fresh interpreter: the verbs through cli.main, then the list
+# of scipy modules they left loaded.
+SCIPY_FREE_VERBS = """
+import json, os, sys
+import sbmatch, sbmatch.cli
+workdir, cfg = sys.argv[1], os.path.join(sys.argv[1], "cfg.json")
+runs = [["ncond"], ["--max-norm", "3", "drift"], ["--max-norm", "3", "appendix"],
+        ["--seed", "1", "simulate"], ["--seed", "1", "sweep"]]
+for argv in runs:
+    out = os.path.join(workdir, argv[-1] + ".out")
+    code = sbmatch.cli.main(["--config", cfg, "--out", out, *argv])
+    assert code == 0, (argv, code)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def fresh_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_and_scipy_free_verbs_load_no_scipy(tmp_path):
+    doc = {"model": TRIANGLE, "policy": {"weight": "w2", "n_check": 50},
+           "run": {"T": 50, "replicas": 2, "sample_every": 10},
+           "sweep": {"models": [{"id": "t", "model": TRIANGLE}], "T": 50, "replicas": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    proc = fresh_python(["-c", SCIPY_FREE_VERBS, str(tmp_path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("solver", ["direct", "power"])
+def test_stationary_loads_its_solver_from_a_cold_start(tmp_path, solver):
+    doc = {"model": TRIANGLE, "analyze": {"cap": 2, "solver": solver}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    out = tmp_path / "pi.csv"
+    proc = fresh_python(["-m", "sbmatch.cli", "--config", "cfg.json", "--out", str(out),
+                         "stationary"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["method"] == solver and summary["n_states"] == 27
+    assert len(out.read_text().splitlines()) == 1 + 27

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .kernel import BOX_MAX_STATES, transition_table
+from .kernel import transition_table
 # Kept as a module attribute: the benchmark's layer tracer
 # (perfbench/tracing.py) wraps analyze.transition_row.
 from .kernel import transition_row  # noqa: F401
@@ -65,19 +65,18 @@ class TruncatedChain:
         return len(self.states)
 
 
-def truncate(spec: ModelSpec, policy: PolicyConfig, cap: int,
-             max_states: int = BOX_MAX_STATES) -> TruncatedChain:
+def truncate(spec: ModelSpec, policy: PolicyConfig, cap: int) -> TruncatedChain:
     """Build the truncated chain on the sup-norm ball of radius cap.
 
     The raw kernel is built over the whole box {0..cap}^C and restricted to
     the states reachable from the origin; states is the grid of
-    transition_table, in sorted order with the origin first.  max_states
-    bounds the box size (cap + 1) ** C and is checked before anything is
-    allocated.
+    transition_table, in sorted order with the origin first.  The box size
+    (cap + 1) ** C is checked against kernel.BOX_MAX_STATES before anything
+    is allocated.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    grid, P = transition_table(spec, policy, cap, max_states)
+    grid, P = transition_table(spec, policy, cap)
     norms = grid.max(axis=1)
     return TruncatedChain(spec=spec, policy=policy, cap=cap, states=grid,
                           P=P, PT=P.T.tocsr(), sup_norms=norms,

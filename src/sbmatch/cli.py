@@ -97,6 +97,13 @@ def _count(value, what: str) -> int:
     return n
 
 
+def _positive(value, what: str) -> int:
+    n = _int(value, what)
+    if n < 1:
+        raise ConfigError(f"{what} must be at least 1, got {n}")
+    return n
+
+
 def _parse_nu_entry(v):
     if isinstance(v, str):
         try:
@@ -157,7 +164,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"unknown weight {weight_id!r} (choose from {sorted(BUILTIN_WEIGHTS)})")
     weight = BUILTIN_WEIGHTS[weight_id]
     alpha = _alpha_from_labels(spec, pol["alpha"]) if "alpha" in pol else None
-    n_check = _int(pol.get("n_check", 10_000), "policy.n_check")
+    n_check = _positive(pol.get("n_check", 10_000), "policy.n_check")
 
     rn = _typed(raw.get("run", {}), dict, "run")
     walk_set = None
@@ -175,7 +182,7 @@ def load_config(path: str) -> ScenarioConfig:
         T=_count(rn.get("T", 10_000), "run.T"),
         replicas=_count(rn.get("replicas", 1), "run.replicas"),
         base_seed=_count(rn["base_seed"], "run.base_seed") if "base_seed" in rn else None,
-        sample_every=_int(rn["sample_every"], "run.sample_every")
+        sample_every=_positive(rn["sample_every"], "run.sample_every")
         if rn.get("sample_every") is not None else None,
         walk_set=walk_set,
     )
@@ -185,7 +192,7 @@ def load_config(path: str) -> ScenarioConfig:
     if solver not in analyze.SOLVERS:
         raise ConfigError(f"unknown solver {solver!r} (choose from {list(analyze.SOLVERS)})")
     analyze_params = AnalyzeParams(
-        cap=_int(an.get("cap", 30), "analyze.cap"),
+        cap=_positive(an.get("cap", 30), "analyze.cap"),
         max_norm=_int(an.get("max_norm", 10), "analyze.max_norm"),
         solver=solver,
     )

@@ -16,7 +16,6 @@ the state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -202,52 +201,30 @@ def restrict_support(x: Sequence[int], keep: Iterable[int]) -> State:
     return tuple(v if i in keep else 0 for i, v in enumerate(map(int, x)))
 
 
-def _components(adjacency, members: frozenset[int]) -> list[set[int]]:
-    """Connected components of the subgraph induced on members (self loops
-    ignored for connectivity)."""
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(members):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for v in members:
-                if v not in comp and v != u and adjacency[u][v]:
-                    comp.add(v)
-                    queue.append(v)
-                    seen.add(v)
-        comps.append(comp)
-    return comps
-
-
 def reduce_to_independent_support(spec: ModelSpec, policy: PolicyConfig,
                                   x: Sequence[int]) -> State:
-    """Zero classes until the support is independent, preserving the sup norm.
-
-    In every connected component of the support with more than one class the
-    class with the smallest (count, alpha) pair is zeroed, and the process
-    repeats.  Requires the support to avoid self-loop classes and all its
+    """Zero every support class that has a support neighbour with a larger
+    (count, alpha) pair, leaving an independent support with the same sup
+    norm.  Requires the support to avoid self-loop classes and all its
     counts to be at least n_star.
+
+    This is the round rule's map: zero the smallest class of every
+    connected component of the support with more than one class, and
+    repeat.  A class with a larger support neighbour j is always zeroed,
+    since j is never the smallest class of a component that still holds
+    it; a class with no larger support neighbour never is, since every
+    component holding it and another class holds a smaller neighbour of it.
     """
     graph = root_graph(spec)
-    y = list(map(int, x))
-    s = support(tuple(y))
+    x = tuple(int(v) for v in x)
+    s = support(x)
     if not s <= graph.loopfree_classes:
         raise KernelError("support touches a self-loop class")
-    if any(y[i] < policy.n_star for i in s):
+    if any(x[i] < policy.n_star for i in s):
         raise KernelError("support counts below the policy threshold")
-    while True:
-        s = frozenset(i for i, v in enumerate(y) if v > 0)
-        big = [c for c in _components(graph.adjacency, s) if len(c) > 1]
-        if not big:
-            return tuple(y)
-        for comp in big:
-            k = min(comp, key=lambda i: (y[i], policy.alpha[i]))
-            y[k] = 0
+    key = tuple(zip(x, policy.alpha))
+    return tuple(0 if any(graph.adjacency[i][j] and key[j] > key[i] for j in s) else v
+                 for i, v in enumerate(x))
 
 
 @dataclass(frozen=True)
@@ -351,17 +328,17 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
     return ChainReport(state=x, steps=tuple(steps))
 
 
-#: Default bound on the number of states in the box {0..cap}^C.
+#: Bound on the number of states in the box {0..cap}^C.
 BOX_MAX_STATES = 2_000_000
 
 
-def transition_table(spec: ModelSpec, policy: PolicyConfig, cap: int,
-                     max_states: int = BOX_MAX_STATES) -> tuple[np.ndarray, sp.csr_matrix]:
+def transition_table(spec: ModelSpec, policy: PolicyConfig,
+                     cap: int) -> tuple[np.ndarray, sp.csr_matrix]:
     """The raw kernel on the states of the box {0..cap}^C reachable from the
     origin, as (grid, P): grid holds one count vector per state in sorted
     (lexicographic) order, the origin first, and P is the transition matrix
-    in that order.  max_states bounds the box size (cap + 1) ** C before
-    anything is allocated.
+    in that order.  The box size (cap + 1) ** C is checked against
+    BOX_MAX_STATES before anything is allocated.
 
     Row r of the box has entries only at the 2C + 1 columns r - stride[j]
     (a match at class j), r (the self-loop into which an increment leaving
@@ -377,15 +354,15 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig, cap: int,
     the same class accumulate over ascending arrival classes, and the fold
     sums increments over descending classes (the order of the sorted row).
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import breadth_first_order
-
     if cap < 0:
         raise KernelError("cap must be non-negative")
     C = spec.n_classes
     side = cap + 1
-    if side ** C > max_states:
-        raise KernelError(f"the box {{0..{cap}}}^{C} exceeds {max_states} states")
+    if side ** C > BOX_MAX_STATES:
+        raise KernelError(f"the box {{0..{cap}}}^{C} exceeds {BOX_MAX_STATES} states")
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order
+
     rho = spec.rho
     weight = np.asarray([[[float(policy.weight(k, rho[i][j])) for k in range(side)]
                           for j in range(C)] for i in range(C)])
@@ -452,20 +429,18 @@ def reachable_check(spec: ModelSpec, policy: PolicyConfig, cap: int) -> Reachabi
                               all_return=not missing, unreturned=missing)
 
 
-def propagate_distribution(spec: ModelSpec, policy: PolicyConfig, variant,
-                           dist: dict[State, float], steps: int) -> dict[State, float]:
-    """Push a distribution over states through the kernel a given number of
-    steps, dropping nothing (no truncation)."""
-    row_cache: dict[State, TransitionRow] = {}
-    current = dict(dist)
+def propagate_distribution(spec: ModelSpec, policy: PolicyConfig,
+                           steps: int) -> dict[State, float]:
+    """The law of the chain after a given number of steps from the origin,
+    as {state: probability} over the states of positive probability.
+
+    The pushes run over transition_table with cap = steps: reaching the cap
+    takes steps arrivals, so no mass is folded and nothing is truncated.
+    """
+    grid, P = transition_table(spec, policy, steps)
+    p = np.zeros(len(grid))
+    p[0] = 1.0
     for _ in range(steps):
-        nxt: dict[State, float] = {}
-        for x, p in current.items():
-            row = row_cache.get(x)
-            if row is None:
-                row = transition_row(spec, policy, variant, x)
-                row_cache[x] = row
-            for y, q in row.entries:
-                nxt[y] = nxt.get(y, 0.0) + p * q
-        current = nxt
-    return current
+        p = p @ P
+    live = p > 0.0
+    return dict(zip(map(tuple, grid[live].tolist()), p[live].tolist()))

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sbmatch import ModelSpec, make_spec, quadratic, transition_row
+from sbmatch import KernelError, ModelSpec, make_spec, quadratic, root_graph, transition_row
 from sbmatch import scenarios
-from sbmatch.policy import PolicyConfig, select_class
+from sbmatch.kernel import TransitionRow
+from sbmatch.policy import PolicyConfig, State, select_class, support
 from sbmatch.simulate import Trajectory, _draw_arrivals, _sample_grid, _seed_seq, coupled_walk
 
 
@@ -183,6 +184,73 @@ def scalar_corrupted_drift(spec: ModelSpec, policy, x) -> float:
             y = tuple(2 * a - b for a, b in zip(x, y))
         d += p * quadratic(y)
     return d
+
+
+def _components(adjacency, members: frozenset[int]) -> list[set[int]]:
+    """Connected components of the subgraph induced on members (self loops
+    ignored for connectivity)."""
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(members):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            u = queue.popleft()
+            for v in members:
+                if v not in comp and v != u and adjacency[u][v]:
+                    comp.add(v)
+                    queue.append(v)
+                    seen.add(v)
+        comps.append(comp)
+    return comps
+
+
+def scalar_reduce_to_independent_support(spec: ModelSpec, policy: PolicyConfig,
+                                         x) -> State:
+    """Zero classes until the support is independent, preserving the sup norm.
+
+    In every connected component of the support with more than one class the
+    class with the smallest (count, alpha) pair is zeroed, and the process
+    repeats.  Requires the support to avoid self-loop classes and all its
+    counts to be at least n_star.
+    """
+    graph = root_graph(spec)
+    y = list(map(int, x))
+    s = support(tuple(y))
+    if not s <= graph.loopfree_classes:
+        raise KernelError("support touches a self-loop class")
+    if any(y[i] < policy.n_star for i in s):
+        raise KernelError("support counts below the policy threshold")
+    while True:
+        s = frozenset(i for i, v in enumerate(y) if v > 0)
+        big = [c for c in _components(graph.adjacency, s) if len(c) > 1]
+        if not big:
+            return tuple(y)
+        for comp in big:
+            k = min(comp, key=lambda i: (y[i], policy.alpha[i]))
+            y[k] = 0
+
+
+def scalar_propagate_distribution(spec: ModelSpec, policy: PolicyConfig, variant,
+                                  dist: dict[State, float], steps: int) -> dict[State, float]:
+    """Push a distribution over states through the kernel a given number of
+    steps, dropping nothing (no truncation)."""
+    row_cache: dict[State, TransitionRow] = {}
+    current = dict(dist)
+    for _ in range(steps):
+        nxt: dict[State, float] = {}
+        for x, p in current.items():
+            row = row_cache.get(x)
+            if row is None:
+                row = transition_row(spec, policy, variant, x)
+                row_cache[x] = row
+            for y, q in row.entries:
+                nxt[y] = nxt.get(y, 0.0) + p * q
+        current = nxt
+    return current
 
 
 class _GeomPool:

@@ -144,12 +144,12 @@ def test_criterion_4_engines_realize_the_kernel():
     pol = make_policy(spec)
 
     exact = enumerate_exact_distribution(spec, pol, 3)
-    kern3 = propagate_distribution(spec, pol, "raw", {(0, 0): 1.0}, 3)
+    kern3 = propagate_distribution(spec, pol, 3)
     enum_gap = max(abs(exact.get(x, 0.0) - kern3.get(x, 0.0))
                    for x in set(exact) | set(kern3))
 
     T, n = 50, 100_000
-    expected = propagate_distribution(spec, pol, "raw", {(0, 0): 1.0}, T)
+    expected = propagate_distribution(spec, pol, T)
     counts: dict = {}
     for fx in final_states(spec, pol, T, 2024, n):
         key = tuple(int(v) for v in fx)

@@ -70,7 +70,7 @@ def test_truncate_guards():
     with pytest.raises(ValueError):
         truncate(tri, pol, 0)
     with pytest.raises(ValueError, match="states"):
-        truncate(tri, pol, 12, max_states=10)
+        truncate(tri, pol, 200)
 
 
 ORACLE_CASES = [(name, weight, cap)

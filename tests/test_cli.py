@@ -307,7 +307,11 @@ def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
     ("analyze", "solver", ["power"], "solver"),
     ("analyze", "solver", "lu", "solver"),
     ("run", "walk_set", ["a", "b"], "walk_set"),
-], ids=["solver-list", "solver-name", "walk-set-not-independent"])
+    ("run", "sample_every", 0, "run.sample_every"),
+    ("analyze", "cap", 0, "analyze.cap"),
+    ("policy", "n_check", 0, "policy.n_check"),
+], ids=["solver-list", "solver-name", "walk-set-not-independent", "sample-every-zero",
+        "cap-zero", "n-check-zero"])
 def test_load_config_refuses_bad_solver_and_walk_set(tmp_path, section, key, value, match):
     doc = sweep_cfg()
     doc[section][key] = value

@@ -11,6 +11,7 @@ from sbmatch import (
     W1,
     W2,
     KernelError,
+    PolicyConfig,
     check_main_drift,
     corrupted_drift_q,
     drift,
@@ -31,7 +32,8 @@ from sbmatch import (
 from sbmatch import scenarios
 from sbmatch.kernel import INEQ_TOL, pow_int, transition_table
 
-from conftest import random_model, random_state, scalar_corrupted_drift
+from conftest import (random_model, random_state, scalar_corrupted_drift,
+                      scalar_propagate_distribution, scalar_reduce_to_independent_support)
 
 
 def connected_selfloop_model():
@@ -183,18 +185,21 @@ def test_restrict_support_examples():
 
 def test_reduce_to_independent_support_path(path3_spec):
     pol = make_policy(path3_spec, weight=W2)
-    # component {a,b,c}: b holds the smallest count, zero it first
+    # b has a support neighbour with a larger count, so it is zeroed;
+    # a and c are local maxima of (count, alpha) and stay
     assert reduce_to_independent_support(path3_spec, pol, (5, 4, 6)) == (5, 0, 6)
 
 
 def test_reduce_keeps_already_independent_support(path3_spec):
     pol = make_policy(path3_spec, weight=W2)
+    # a and c are not neighbours: each is a local maximum and stays
     assert reduce_to_independent_support(path3_spec, pol, (5, 0, 6)) == (5, 0, 6)
 
 
 def test_reduce_breaks_count_ties_by_alpha(triangle_spec):
     pol = make_policy(triangle_spec, weight=W2)
-    # all counts equal: the smallest alpha leaves first, twice
+    # all counts equal: only c, with the largest alpha, has no support
+    # neighbour with a larger (count, alpha) pair
     assert reduce_to_independent_support(triangle_spec, pol, (5, 5, 5)) == (0, 0, 5)
 
 
@@ -210,6 +215,45 @@ def test_reduce_rejects_subthreshold_counts():
     assert pol.n_star == 4
     with pytest.raises(KernelError):
         reduce_to_independent_support(spec, pol, (5, 2, 6))
+
+
+def test_reduce_matches_the_round_rule_on_random_states():
+    # random models up to 9 classes with self loops, random alpha and n_star,
+    # and supports of loop-free classes with counts at least n_star
+    rng = np.random.default_rng(20240611)
+    checked = 0
+    while checked < 20_000:
+        spec = random_model(rng, max_classes=9)
+        loopfree = [i for i in range(spec.n_classes) if spec.rho[i][i] == 0.0]
+        if not loopfree:
+            continue
+        for _ in range(20):
+            pol = PolicyConfig(W1, tuple(int(a) for a in rng.permutation(spec.n_classes) + 1),
+                               int(rng.integers(1, 4)))
+            x = [0] * spec.n_classes
+            for i in loopfree:
+                if rng.random() < 0.7:
+                    x[i] = pol.n_star + int(rng.integers(0, 4))
+            x = tuple(x)
+            assert reduce_to_independent_support(spec, pol, x) \
+                == scalar_reduce_to_independent_support(spec, pol, x), (spec, pol, x)
+            checked += 1
+
+
+@pytest.mark.parametrize("name", ["path3", "triangle", "mixed_selfloop"])
+@pytest.mark.parametrize("weight", [W1, W2], ids=["w1", "w2"])
+def test_reduce_matches_the_round_rule_on_the_box(name, weight):
+    spec = getattr(scenarios, name)()
+    for alpha in (None, tuple(range(spec.n_classes, 0, -1))):
+        pol = make_policy(spec, weight, alpha=alpha)
+        for x in itertools.product(range(9), repeat=spec.n_classes):
+            try:
+                expected = scalar_reduce_to_independent_support(spec, pol, x)
+            except KernelError:
+                with pytest.raises(KernelError):
+                    reduce_to_independent_support(spec, pol, x)
+                continue
+            assert reduce_to_independent_support(spec, pol, x) == expected, (alpha, x)
 
 
 def test_chain_margin_step_triangle_example(triangle_spec):
@@ -272,11 +316,41 @@ def test_reachable_check_rejects_isolated_class():
 
 def test_propagate_distribution_conserves_mass_and_parity(triangle_spec):
     pol = make_policy(triangle_spec)
-    dist = {(0, 0, 0): 1.0}
     for t in range(1, 6):
-        dist = propagate_distribution(triangle_spec, pol, "raw", dist, 1)
+        dist = propagate_distribution(triangle_spec, pol, t)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(sum(x) % 2 == t % 2 for x in dist)
+
+
+PUSH_CASES = ([("bipartite", W1, T) for T in (1, 2, 3, 4, 50)]
+              + [("triangle", W2, T) for T in (1, 5, 12)]
+              + [("mixed_selfloop", W2, 10), ("path3", W1, 20)])
+
+
+@pytest.mark.parametrize("name,weight,T", PUSH_CASES,
+                         ids=[f"{n}-{w.name}-T{T}" for n, w, T in PUSH_CASES])
+def test_propagate_distribution_matches_the_dict_push(name, weight, T):
+    spec = scenarios.bipartite(Fraction(1, 2)) if name == "bipartite" \
+        else getattr(scenarios, name)()
+    pol = make_policy(spec, weight)
+    got = propagate_distribution(spec, pol, T)
+    expected = scalar_propagate_distribution(spec, pol, "raw", {(0,) * spec.n_classes: 1.0}, T)
+    assert set(got) == set(expected)
+    assert max(abs(got[x] - p) for x, p in expected.items()) <= 1e-15
+
+
+def test_propagate_distribution_refuses_a_push_past_the_box_bound():
+    # (1414 + 1) ** 2 states exceed BOX_MAX_STATES: refused before the box is built
+    spec = scenarios.bipartite(Fraction(1, 2))
+    pol = make_policy(spec, W1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelError, match="states"):
+            propagate_distribution(spec, pol, 1414)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_transition_table_peak_memory_per_box_state():

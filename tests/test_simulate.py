@@ -128,7 +128,7 @@ def test_lazy_engine_matches_kernel_distribution():
     spec = scenarios.bipartite(Fraction(1, 2))
     pol = make_policy(spec)
     T, n = 4, 20000
-    expected = propagate_distribution(spec, pol, "raw", {(0, 0): 1.0}, T)
+    expected = propagate_distribution(spec, pol, T)
     counts: dict = {}
     for row in final_states(spec, pol, T, 99, n):
         x = tuple(int(v) for v in row)
@@ -172,7 +172,7 @@ def test_exact_enumeration_matches_kernel_at_tiny_horizon():
     pol = make_policy(spec)
     for T in (1, 2, 3):
         exact = enumerate_exact_distribution(spec, pol, T)
-        kernel = propagate_distribution(spec, pol, "raw", {(0, 0): 1.0}, T)
+        kernel = propagate_distribution(spec, pol, T)
         assert set(exact) == set(kernel)
         for x, p in kernel.items():
             assert exact[x] == pytest.approx(p, abs=1e-12)
@@ -182,7 +182,7 @@ def test_full_graph_engine_matches_kernel_distribution():
     spec = scenarios.bipartite(Fraction(1, 2))
     pol = make_policy(spec)
     T, n = 4, 20000
-    expected = propagate_distribution(spec, pol, "raw", {(0, 0): 1.0}, T)
+    expected = propagate_distribution(spec, pol, T)
     counts: dict = {}
     for rep in range(n):
         out = full_graph_run(spec, pol, T, (13, rep))

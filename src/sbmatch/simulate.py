@@ -12,10 +12,18 @@ The seeded paths of run and final_states equal those of the plain reference
 loop: the arrival classes are drawn up front, the greedy choice is
 select_class's, and each distinct positive rho value has its own buffer of
 rng.geometric(r, size=GEOM_BLOCK) blocks, drawn in order of need.  Only the
-cost differs: the choice is memoised on (c, *x), with at most
-CHOICE_MEMO_MAX entries per memo; past that bound, choices are computed
-without being stored.  step draws each arrival's class when it is called,
-so its stream interleaves class draws with the probe blocks.
+cost differs.  run serves a whole path in one advance call, which records
+the grid samples itself.  The greedy choice is memoised on one integer code
+of (c, x): c in the low KEY_BITS-bit field and x(i) in field i + 1; advance
+derives it from x once per call and then adds one field unit per arrival.
+A count never exceeds the arrivals served, so a path is refused past
+2**KEY_BITS - 1 arrivals.  Every engine call on one (model, policy) pair
+shares one memo, kept by an lru_cache of CHOICE_MEMOS memos for the life of
+the process.  A memo holds at most CHOICE_MEMO_MAX entries, past which
+choices are computed without being stored, so the memos hold at most
+CHOICE_MEMOS * CHOICE_MEMO_MAX entries in all.  step draws each arrival's
+class when it is called, so its stream interleaves class draws with the
+probe blocks.
 
 Streams are split by seed tuple: replica r of a batch with base seed s draws
 from SeedSequence((s, r)).  Nothing is ever seeded from the clock; a seed is
@@ -25,6 +33,7 @@ always required.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,8 +42,13 @@ from .model import ModelSpec, neighborhood, root_graph, walk_spec
 from .policy import PolicyConfig, State, select_class
 
 FULL_GRAPH_MAX_T = 1000
-# Most entries one memo of greedy choices, (c, *x) -> class, may hold.
+# Most entries one memo of greedy choices, code of (c, x) -> class, may hold.
 CHOICE_MEMO_MAX = 1 << 16
+# Memos of greedy choices kept at once, one per (model, policy) pair.
+CHOICE_MEMOS = 8
+# Width of each field of a memo key; a path serves fewer than 2**KEY_BITS
+# arrivals, so no count overflows its field.
+KEY_BITS = 32
 # Geometric draws per refill of a probe buffer.
 GEOM_BLOCK = 4096
 ENUMERATION_MAX_T = 6
@@ -70,7 +84,8 @@ def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndar
 
 
 class _Choice:
-    """The greedy choice of the targeted class, memoised on (c, *x).
+    """The greedy choice of the targeted class, memoised on the code of (c, x):
+    c plus x(i) * units[i], where units[i] = 2**(KEY_BITS * (i + 1)).
 
     A miss calls select_class, so the tie rule (WEIGHT_TOL, then the largest
     alpha) lives in one place.  The memo holds at most CHOICE_MEMO_MAX
@@ -78,19 +93,30 @@ class _Choice:
     """
 
     def __init__(self, spec: ModelSpec, policy: PolicyConfig):
-        self.memo: dict[tuple[int, ...], int] = {}
+        self.memo: dict[int, int] = {}
         self.weight, self.alpha, self.rho = policy.weight, policy.alpha, spec.rho
+        self.units = [1 << (KEY_BITS * (i + 1)) for i in range(spec.n_classes)]
 
-    def miss(self, key: tuple[int, ...]) -> int:
-        j = select_class(self.weight, self.alpha, key[1:], self.rho[key[0]])
+    def code(self, x: Sequence[int]) -> int:
+        """The key of (0, x); the key of (c, x) is this plus c."""
+        return sum(v * u for v, u in zip(x, self.units))
+
+    def miss(self, key: int, c: int, x: Sequence[int]) -> int:
+        j = select_class(self.weight, self.alpha, x, self.rho[c])
         if len(self.memo) < CHOICE_MEMO_MAX:
             self.memo[key] = j
         return j
 
     def __call__(self, c: int, x: Sequence[int]) -> int:
-        key = (c, *x)
+        key = self.code(x) + c
         j = self.memo.get(key)
-        return self.miss(key) if j is None else j
+        return self.miss(key, c, x) if j is None else j
+
+
+@lru_cache(maxsize=CHOICE_MEMOS)
+def _shared_choice(spec: ModelSpec, policy: PolicyConfig) -> _Choice:
+    """The one memo of greedy choices of a (model, policy) pair."""
+    return _Choice(spec, policy)
 
 
 class SimState:
@@ -114,20 +140,32 @@ class SimState:
     def refill(self, buf: list[int], r: float) -> None:
         buf.extend(self.rng.geometric(r, size=GEOM_BLOCK)[::-1].tolist())
 
-    def advance(self, choice: _Choice, arrivals: Sequence[int]) -> None:
+    def advance(self, choice: _Choice, arrivals: Sequence[int],
+                sample_at: Sequence[int] = ()) -> list[tuple[list[int], int, float]]:
         """Serve the given arrivals one by one.  The arrival of class c
         targets class j = choice(c, x) and probes its x[j] unmatched nodes;
         the first geometric trial at or below x[j] matches one of them,
-        otherwise the arrival joins its own class."""
-        x, buffers, rho = self.x, self.buffers, self.rho
+        otherwise the arrival joins its own class.
+
+        Returns (x, matched_pairs, cum_norm) as they stand after each
+        arrival whose time t is in sample_at, an ascending list of times
+        past the current one.
+        """
+        if self.t + len(arrivals) >= 1 << KEY_BITS:
+            raise ValueError(f"a path is capped at 2**{KEY_BITS} - 1 arrivals")
+        x, buffers, rho, units = self.x, self.buffers, self.rho, choice.units
         memo, miss = choice.memo, choice.miss
         t, matched, cum_norm = self.t, self.matched_pairs, self.cum_norm
+        code, top = choice.code(x), max(x)  # the key of (0, x) and max(x)
+        times = iter(sample_at)
+        due = next(times, 0)
+        samples = []
         for c in arrivals:
             t += 1
-            key = (c, *x)
+            key = code + c
             j = memo.get(key)  # _Choice.__call__, inlined
             if j is None:
-                j = miss(key)
+                j = miss(key, c, x)
             xj = x[j]
             buf = buffers[c][j]
             hit = False
@@ -137,15 +175,25 @@ class SimState:
                 hit = buf.pop() <= xj
             if hit:
                 x[j] = xj - 1
+                code -= units[j]
                 matched += 1
-                if not any(x):
-                    self.returns_to_zero += 1
-                    if self.first_return is None:
-                        self.first_return = t
+                if xj == top:
+                    top = max(x)
+                    if not top:
+                        self.returns_to_zero += 1
+                        if self.first_return is None:
+                            self.first_return = t
             else:
-                x[c] += 1
-            cum_norm += max(x)
+                xc = x[c] = x[c] + 1
+                code += units[c]
+                if xc > top:
+                    top = xc
+            cum_norm += top
+            if t == due:
+                samples.append((x.copy(), matched, cum_norm))
+                due = next(times, 0)
         self.t, self.matched_pairs, self.cum_norm = t, matched, cum_norm
+        return samples
 
 
 @dataclass(frozen=True)
@@ -169,7 +217,7 @@ def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
     (probing a class with no edges burns all its nodes).
     """
     c = int(_draw_arrivals(spec, 1, sim.rng)[0])
-    choice = _Choice(spec, policy)
+    choice = _shared_choice(spec, policy)
     j = choice(c, sim.x)
     xj, buf = sim.x[j], sim.buffers[c][j]
     trials = xj
@@ -236,20 +284,19 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     """
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
-    path, choice = SimState(spec, rng), _Choice(spec, policy)
-    stream = arrivals.tolist()
+    path = SimState(spec, rng)
 
     grid = _sample_grid(T, sample_every)
     S = grid.size
     samp_x = np.zeros((S, spec.n_classes), dtype=np.int64)
     samp_matched = np.zeros(S, dtype=np.int64)
     samp_erg = np.zeros(S, dtype=np.float64)
-    ts = grid.tolist()  # starts at 0, whose row stays all zeros
-    for k in range(1, S):
-        path.advance(choice, stream[ts[k - 1]:ts[k]])
-        samp_x[k] = path.x
-        samp_matched[k] = path.matched_pairs
-        samp_erg[k] = path.cum_norm / ts[k]
+    ts = grid[1:]  # the grid starts at 0, whose row stays all zeros
+    samples = path.advance(_shared_choice(spec, policy), arrivals.tolist(), ts.tolist())
+    if samples:
+        xs, matched, cum_norm = zip(*samples)
+        samp_x[1:], samp_matched[1:] = xs, matched
+        samp_erg[1:] = np.divide(cum_norm, ts)
 
     sup = samp_x.max(axis=1)
     perfect = sup == 0
@@ -274,9 +321,8 @@ def run_replicas(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
 
 def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
                  replicas: int) -> np.ndarray:
-    """Final count vectors of many short replicas; the replicas share one
-    memo of greedy choices."""
-    choice = _Choice(spec, policy)
+    """Final count vectors of many short replicas."""
+    choice = _shared_choice(spec, policy)
     out = np.zeros((replicas, spec.n_classes), dtype=np.int64)
     for rep in range(replicas):
         rng = np.random.default_rng(_seed_seq((base_seed, rep)))
@@ -317,7 +363,7 @@ def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
         raise ValueError(f"full-graph engine capped at T = {FULL_GRAPH_MAX_T}")
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
-    choose = _Choice(spec, policy)
+    choose = _shared_choice(spec, policy)
     rho_arr = np.asarray(spec.rho)
     C = spec.n_classes
 
@@ -381,7 +427,7 @@ def enumerate_exact_distribution(spec: ModelSpec, policy: PolicyConfig, T: int) 
     C = spec.n_classes
     rho = spec.rho
     nu = spec.nu
-    choose = _Choice(spec, policy)
+    choose = _shared_choice(spec, policy)
     out: dict[State, float] = {}
 
     def counts(nodes) -> list[int]:

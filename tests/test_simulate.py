@@ -241,6 +241,7 @@ def test_engine_matches_scalar_oracle(name, weight):
 
 def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
     monkeypatch.setattr(simulate, "CHOICE_MEMO_MAX", 8)
+    simulate._shared_choice.cache_clear()  # a memo warmed by earlier tests is past no bound
     spec = scenarios.bipartite(Fraction(3, 5))  # unstable: nearly every state is new
     for weight in (W1, W2):
         pol = make_policy(spec, weight)
@@ -251,3 +252,54 @@ def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
         assert len(choice.memo) == 8
         for seed in (4, 5, 6):
             assert_same_engine_output(spec, pol, seed)
+        assert len(simulate._shared_choice(spec, pol).memo) == 8
+
+
+def test_one_memo_per_model_and_policy():
+    # runs on one model under both weights and two alpha orders, and on a
+    # second model, interleaved: a memo warmed by one pair must never answer
+    # for another (on the triangle, alpha breaks every tie of equal counts)
+    simulate._shared_choice.cache_clear()
+    tri, mixed = scenarios.triangle(), scenarios.mixed_selfloop()
+    pairs = [(tri, make_policy(tri, weight, alpha=alpha))
+             for alpha in ((1, 2, 3), (3, 1, 2)) for weight in (W1, W2)]
+    pairs += [(mixed, make_policy(mixed, weight)) for weight in (W1, W2)]
+    for seed in (1, 2):
+        for spec, pol in pairs:
+            a = run(spec, pol, 2000, (seed, 0), sample_every=1)
+            b = scalar_run(spec, pol, 2000, (seed, 0), sample_every=1)
+            assert np.array_equal(a.x, b.x)
+            assert (a.returns_to_zero, a.first_return) == (b.returns_to_zero, b.first_return)
+
+
+@pytest.mark.parametrize("T,every", [(0, None), (0, 1), (1, None), (1, 1), (1, 5), (7, 1),
+                                     (7, 10), (23, 5), (600, None), (1000, 7)])
+def test_run_samples_the_grid_like_the_scalar_loop(T, every):
+    # T = 0 and 1, every arrival sampled, a step longer than the path, a
+    # path that ends between steps, and the default grid past 512 samples
+    spec = scenarios.mixed_selfloop()
+    pol = make_policy(spec, W2)
+    for seed in (1, 2):
+        a = run(spec, pol, T, seed, sample_every=every)
+        b = scalar_run(spec, pol, T, seed, sample_every=every)
+        for field in ("t_grid", "x", "sup_norm", "matched_pairs", "perfect", "ergodic_avg"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert (a.returns_to_zero, a.first_return, a.final_x, a.matched_total) \
+            == (b.returns_to_zero, b.first_return, b.final_x, b.matched_total)
+
+
+def test_step_shares_the_memo(monkeypatch, triangle_spec):
+    # each state is chosen by select_class once, however many steps reach it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return select_class(*args)
+
+    monkeypatch.setattr(simulate, "select_class", counted)
+    simulate._shared_choice.cache_clear()
+    pol = make_policy(triangle_spec)
+    sim = new_sim(triangle_spec, 3)
+    for _ in range(300):
+        step(triangle_spec, pol, sim)
+    assert len(calls) == len(simulate._shared_choice(triangle_spec, pol).memo) < 300

@@ -60,14 +60,11 @@ from .kernel import (
     verify_drift_chain,
 )
 from .simulate import (
-    FullGraphRun,
     SimState,
     StepEvent,
     Trajectory,
     coupled_walk,
-    enumerate_exact_distribution,
     final_states,
-    full_graph_run,
     new_sim,
     run,
     run_replicas,

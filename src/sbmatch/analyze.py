@@ -23,7 +23,7 @@ from .kernel import transition_table
 # (perfbench/tracing.py) wraps analyze.transition_row.
 from .kernel import transition_row  # noqa: F401
 from .model import ModelSpec, root_graph, stability
-from .policy import W1, PolicyConfig, make_policy, sup_norm
+from .policy import W1, PolicyConfig, WeightFunction, make_policy, sup_norm
 from .simulate import Trajectory, run
 
 # scipy is imported inside the functions that use it, so that importing the
@@ -271,7 +271,7 @@ class SweepRow:
 
 
 def eta_sweep(entries: Sequence[tuple[str, ModelSpec]], T: int, base_seed: int,
-              replicas: int, weight=None, n_check: int = 10_000) -> list[SweepRow]:
+              replicas: int, weight: WeightFunction = W1) -> list[SweepRow]:
     """Simulated growth against the stability margin across a family of models.
 
     Each model gets its own policy, with the default tie-break alpha (the
@@ -281,7 +281,7 @@ def eta_sweep(entries: Sequence[tuple[str, ModelSpec]], T: int, base_seed: int,
     rows: list[SweepRow] = []
     for row_idx, (label, spec) in enumerate(entries):
         stab = stability(spec)
-        policy = make_policy(spec, weight if weight is not None else W1, n_check=n_check)
+        policy = make_policy(spec, weight)
         trajs = [run(spec, policy, T, (base_seed, row_idx, r)) for r in range(replicas)]
         summary = metrics(trajs)
         rows.append(SweepRow(

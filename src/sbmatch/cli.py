@@ -64,7 +64,6 @@ class ScenarioConfig:
     spec: ModelSpec
     weight: WeightFunction
     alpha: tuple[int, ...] | None
-    n_check: int
     run: RunParams
     analyze: AnalyzeParams
     sweep_models: tuple[tuple[str, ModelSpec], ...]
@@ -164,7 +163,6 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"unknown weight {weight_id!r} (choose from {sorted(BUILTIN_WEIGHTS)})")
     weight = BUILTIN_WEIGHTS[weight_id]
     alpha = _alpha_from_labels(spec, pol["alpha"]) if "alpha" in pol else None
-    n_check = _positive(pol.get("n_check", 10_000), "policy.n_check")
 
     rn = _typed(raw.get("run", {}), dict, "run")
     walk_set = None
@@ -205,7 +203,7 @@ def load_config(path: str) -> ScenarioConfig:
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"sweep entries need id and model: {exc}") from exc
     return ScenarioConfig(
-        spec=spec, weight=weight, alpha=alpha, n_check=n_check,
+        spec=spec, weight=weight, alpha=alpha,
         run=run_params, analyze=analyze_params,
         sweep_models=tuple(sweep_models),
         sweep_T=_count(sw.get("T", run_params.T), "sweep.T"),
@@ -280,7 +278,7 @@ def _ball(n_classes: int, max_norm: int):
 
 
 def _policy(cfg: ScenarioConfig) -> PolicyConfig:
-    return make_policy(cfg.spec, cfg.weight, alpha=cfg.alpha, n_check=cfg.n_check)
+    return make_policy(cfg.spec, cfg.weight, alpha=cfg.alpha)
 
 
 def _seed(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
@@ -392,7 +390,7 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     if not cfg.sweep_models:
         raise UsageError("sweep: config has no sweep.models")
     rows = analyze.eta_sweep(cfg.sweep_models, cfg.sweep_T, base_seed,
-                             cfg.sweep_replicas, weight=cfg.weight, n_check=cfg.n_check)
+                             cfg.sweep_replicas, weight=cfg.weight)
     _write_csv(args.out, [f.name for f in fields(analyze.SweepRow)], map(astuple, rows))
     return 0
 

@@ -154,6 +154,11 @@ def make_spec(classes: Sequence, nu: Sequence, rho: Sequence[Sequence[float]]) -
     return ModelSpec(classes=classes, nu=nu_f, rho=rho_t, nu_exact=nu_exact)
 
 
+def trial_peak(r: float) -> float:
+    """The real maximiser of n (1 - r)^n: -1 / log1p(-r), or 0 when r = 1."""
+    return -1.0 / math.log1p(-r) if r < 1.0 else 0.0
+
+
 @lru_cache(maxsize=None)
 def root_graph(spec: ModelSpec) -> RootGraph:
     """Derive the compatibility graph and the constants rho_min and K."""
@@ -167,10 +172,9 @@ def root_graph(spec: ModelSpec) -> RootGraph:
         return RootGraph(spec.classes, adjacency, selfloop, loopfree, None, None)
     rho_min = min(positive)
 
-    # n * (1 - rho_min) ** n is log-concave in n with its real maximum at
-    # -1 / log1p(-rho_min) (0 when rho_min = 1), so the integer maximum sits
-    # at the floor or the ceiling of that point.
-    peak = -1.0 / math.log1p(-rho_min) if rho_min < 1.0 else 0.0
+    # n * (1 - rho_min) ** n is log-concave, so its integer maximum sits at the
+    # floor or the ceiling of its real maximum.
+    peak = trial_peak(rho_min)
     ns = np.array([math.floor(peak), math.ceil(peak)], dtype=float)
     K = float(np.max(ns * (1.0 - rho_min) ** ns))
     return RootGraph(spec.classes, adjacency, selfloop, loopfree, rho_min, K)

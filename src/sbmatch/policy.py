@@ -12,12 +12,13 @@ rho once queues are long.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelSpec, root_graph
+from .model import ModelSpec, root_graph, trial_peak
 
 WEIGHT_TOL = 1e-12
 
@@ -45,14 +46,14 @@ def sup_norm_over(x: State, subset: Iterable[int]) -> int:
 class WeightFunction:
     """A matching weight w(n, r) on counts n >= 0 and edge probabilities r.
 
-    fn must accept a scalar or a numpy array for n with scalar r.  certified
-    marks the built-in weights whose threshold property is known in closed
-    form for every n, so a windowed scan of it is conclusive.
+    fn must accept a scalar or a numpy array for n with scalar r.  threshold,
+    when set, is n_star(self, r) in closed form, without the scan's window;
+    the built-in weights carry one, and make_policy uses it.
     """
 
     name: str
     fn: Callable
-    certified: bool = False
+    threshold: Callable[[float], int] | None = None
 
     def __call__(self, n, r: float):
         return self.fn(n, r)
@@ -73,11 +74,54 @@ def _w2(n, r: float):
     return n * (1.0 - (1.0 - r) ** n)
 
 
+def _scan(fn: Callable, r: float, lo: int, hi: int) -> int | None:
+    """Smallest m in [lo, hi] such that w(n-1, 1) < w(n, r) and
+    w(n, 1) < w(n+1, r) for every n in [m, hi]; None when the test fails at hi."""
+    n = np.arange(lo - 1, hi + 2)
+    # below[k] is w(n[k], 1) < w(n[k] + 1, r); the test at n[k] is below[k - 1] & below[k].
+    below = np.asarray(fn(n, 1.0))[:-1] < np.asarray(fn(n, r))[1:]
+    ok = below[:-1] & below[1:]
+    if not ok[-1]:
+        return None
+    bad = np.nonzero(~ok)[0]
+    return lo + int(bad[-1]) + 1 if bad.size else lo
+
+
+# Counts either side of the exact root over which the scan's test settles the
+# threshold of w2; past 2**53 a float no longer tells n from n + 1.
+W2_SETTLE = 4
+W2_THRESHOLD_MAX = 2**53
+
+
+def _w2_threshold(r: float) -> int:
+    """n_star(W2, r) without a window.  As w2(n, 1) = n, the test at n is
+    f(n) < 1 and f(n+1) < 1 with f(k) = k (1 - r)^k, log-concave with its peak
+    at trial_peak(r).  So the threshold is k + 1 for the largest k with
+    f(k) >= 1 (1 when there is none): k is bisected on log k + k log1p(-r)
+    past the peak, then settled by the scan's own test, so floats decide as
+    they do in the scan."""
+    peak = trial_peak(r)
+    k, hi = max(1, math.ceil(peak)), W2_THRESHOLD_MAX
+    if peak > math.e and math.log(k) >= k / peak:  # f(k) >= 1
+        if math.log(hi) >= hi / peak:
+            raise PolicyError(f"the threshold of w2 at r={r} exceeds 2**53, past which "
+                              "float weights do not tell n from n + 1")
+        while hi - k > 1:
+            mid = (k + hi) // 2
+            k, hi = (mid, hi) if math.log(mid) >= mid / peak else (k, mid)
+    lo = max(1, k - W2_SETTLE)
+    m = _scan(_w2, r, lo, k + W2_SETTLE)
+    if m is None or (m == lo > 1):
+        raise PolicyError(f"float weights do not settle the threshold of w2 at r={r} "
+                          f"within {W2_SETTLE} counts of its exact root")
+    return m
+
+
 #: Count of matchable nodes: w1(n, r) = n when r > 0, else 0.
-W1 = WeightFunction("w1", _w1, certified=True)
+W1 = WeightFunction("w1", _w1, threshold=lambda r: 1)
 
 #: Expected number of successful trials proxy: w2(n, r) = n (1 - (1 - r)^n).
-W2 = WeightFunction("w2", _w2, certified=True)
+W2 = WeightFunction("w2", _w2, threshold=_w2_threshold)
 
 BUILTIN_WEIGHTS = {"w1": W1, "w2": W2}
 
@@ -86,21 +130,18 @@ def n_star(weight: WeightFunction, r: float, n_check: int = 10_000) -> int:
     """Smallest m >= 1 with w(n-1, 1) < w(n, r) and w(n, 1) < w(n+1, r) for
     every n in [m, n_check].
 
-    The scan is windowed; for the built-in weights the property is known to
-    persist beyond any window where it holds, so the result is exact.
+    The scan is windowed, so it stands for the whole range only when the
+    property is known to persist past the window.  It serves weights without
+    a closed-form threshold, and is the oracle the closed forms are tested on.
     """
     if not (0.0 < r <= 1.0):
         raise PolicyError(f"r must lie in (0, 1], got {r!r}")
     if n_check < 1:
         raise PolicyError("n_check must be at least 1")
-    n = np.arange(0, n_check + 2)
-    # below[k] is w(k, 1) < w(k + 1, r); the threshold test at n is below[n - 1] & below[n].
-    below = np.asarray(weight(n, 1.0))[:-1] < np.asarray(weight(n, r))[1:]
-    ok = below[:-1] & below[1:]
-    if not ok[-1]:
+    m = _scan(weight, r, 1, n_check)
+    if m is None:
         raise PolicyError(f"no threshold m found in [1, {n_check}] for r={r}")
-    bad = np.nonzero(~ok)[0]
-    return int(bad[-1]) + 2 if bad.size else 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -177,7 +218,7 @@ def check_assumption(weight: WeightFunction, n_check: int = 10_000) -> Assumptio
                             hyp2_ok=hyp2_ok, hyp3_ok=hyp3_ok,
                             n_star_by_r=tuple(thresholds),
                             violations=tuple(violations), n_check=n_check,
-                            window_certified=weight.certified)
+                            window_certified=weight.threshold is not None)
 
 
 @dataclass(frozen=True)
@@ -191,9 +232,9 @@ class PolicyConfig:
 
 
 def make_policy(spec: ModelSpec, weight: WeightFunction = W1,
-                alpha: Sequence[int] | None = None,
-                n_check: int = 10_000) -> PolicyConfig:
-    """Build a policy for a model, deriving n_star from rho_min.
+                alpha: Sequence[int] | None = None) -> PolicyConfig:
+    """Build a policy for a model, deriving n_star from rho_min: by the
+    weight's closed-form threshold when it has one, else by the n_star scan.
 
     alpha gives the tie-break value of each class in class order; it defaults
     to 1..C so that later classes win ties.
@@ -208,7 +249,8 @@ def make_policy(spec: ModelSpec, weight: WeightFunction = W1,
             raise PolicyError(f"alpha must be a bijection onto 1..{n}")
     if graph.rho_min is None:
         raise PolicyError("the model has no positive rho entry; no policy threshold exists")
-    ns = n_star(weight, graph.rho_min, n_check)
+    r = graph.rho_min
+    ns = weight.threshold(r) if weight.threshold is not None else n_star(weight, r)
     return PolicyConfig(weight=weight, alpha=alpha_t, n_star=ns)
 
 

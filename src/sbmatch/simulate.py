@@ -1,11 +1,10 @@
 """Monte Carlo engines for the matching dynamics.
 
-Two engines realize the same law.  The lazy engine works on class counts
-only: an arrival targets the class chosen by the policy and probes its
-unmatched nodes one Bernoulli trial at a time until the first hit, which is
-a truncated geometric draw.  The full-graph engine materializes every node
-and every edge indicator and serves as a ground-truth oracle at small
-horizons, including an exact enumeration of all of its randomness.
+The lazy engine works on class counts only: an arrival targets the class
+chosen by the policy and probes its unmatched nodes one Bernoulli trial at a
+time until the first hit, which is a truncated geometric draw.  (The
+full-graph engine, which materializes every node and edge indicator, is a
+test oracle in tests/conftest.py.)
 
 run, final_states and step share one per-arrival core, SimState.advance.
 The seeded paths of run and final_states equal those of the plain reference
@@ -41,7 +40,6 @@ import numpy as np
 from .model import ModelSpec, neighborhood, root_graph, walk_spec
 from .policy import PolicyConfig, State, select_class
 
-FULL_GRAPH_MAX_T = 1000
 # Most entries one memo of greedy choices, code of (c, x) -> class, may hold.
 CHOICE_MEMO_MAX = 1 << 16
 # Memos of greedy choices kept at once, one per (model, policy) pair.
@@ -51,7 +49,6 @@ CHOICE_MEMOS = 8
 KEY_BITS = 32
 # Geometric draws per refill of a probe buffer.
 GEOM_BLOCK = 4096
-ENUMERATION_MAX_T = 6
 DEFAULT_SAMPLES = 512
 
 
@@ -75,6 +72,11 @@ def _sample_grid(T: int, sample_every: int | None) -> np.ndarray:
         return np.asarray(ts, dtype=np.int64)
     ts = np.linspace(0, T, num=min(T, DEFAULT_SAMPLES) + 1)
     return np.unique(np.concatenate([ts.astype(np.int64), [T]]))
+
+
+def _check_path_length(t: int) -> None:
+    if t >= 1 << KEY_BITS:
+        raise ValueError(f"a path is capped at 2**{KEY_BITS} - 1 arrivals")
 
 
 def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndarray:
@@ -151,8 +153,7 @@ class SimState:
         arrival whose time t is in sample_at, an ascending list of times
         past the current one.
         """
-        if self.t + len(arrivals) >= 1 << KEY_BITS:
-            raise ValueError(f"a path is capped at 2**{KEY_BITS} - 1 arrivals")
+        _check_path_length(self.t + len(arrivals))
         x, buffers, rho, units = self.x, self.buffers, self.rho, choice.units
         memo, miss = choice.memo, choice.miss
         t, matched, cum_norm = self.t, self.matched_pairs, self.cum_norm
@@ -282,6 +283,7 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     track_walks lists independent sets whose comparison walks are evaluated
     on the same arrival stream and sampled on the same grid.
     """
+    _check_path_length(T)  # before the T draws are made
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
     path = SimState(spec, rng)
@@ -322,6 +324,7 @@ def run_replicas(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
 def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
                  replicas: int) -> np.ndarray:
     """Final count vectors of many short replicas."""
+    _check_path_length(T)  # before any draws are made
     choice = _shared_choice(spec, policy)
     out = np.zeros((replicas, spec.n_classes), dtype=np.int64)
     for rep in range(replicas):
@@ -329,145 +332,4 @@ def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
         path = SimState(spec, rng)
         path.advance(choice, _draw_arrivals(spec, T, rng).tolist())
         out[rep] = path.x
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class FullGraphRun:
-    """Outcome of the node-level engine: a sampled trajectory plus the realized
-    matching (pairs of node ids, arrival order) and, optionally, the edges."""
-
-    T: int
-    seed: object
-    t_grid: np.ndarray
-    x: np.ndarray
-    sup_norm: np.ndarray
-    matched_pairs: np.ndarray
-    node_class: np.ndarray
-    unmatched: np.ndarray
-    matching: tuple[tuple[int, int], ...]
-    edges: tuple[tuple[int, int], ...] | None
-    final_x: State
-
-
-def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
-                   sample_every: int | None = None,
-                   retain_graph: bool = False) -> FullGraphRun:
-    """Run the node-level engine, materializing every edge indicator.
-
-    Quadratic in T, capped at T = 1000.  When the targeted class has an
-    edge to the arrival among its unmatched nodes, the arrival is matched to
-    the eligible node that arrived first.
-    """
-    if T > FULL_GRAPH_MAX_T:
-        raise ValueError(f"full-graph engine capped at T = {FULL_GRAPH_MAX_T}")
-    rng = np.random.default_rng(_seed_seq(seed))
-    arrivals = _draw_arrivals(spec, T, rng)
-    choose = _shared_choice(spec, policy)
-    rho_arr = np.asarray(spec.rho)
-    C = spec.n_classes
-
-    grid = _sample_grid(T, sample_every)
-    S = grid.size
-    samp_x = np.zeros((S, C), dtype=np.int64)
-    samp_matched = np.zeros(S, dtype=np.int64)
-
-    node_class = np.zeros(T, dtype=np.int64)
-    unmatched = np.zeros(T, dtype=bool)
-    psi = np.zeros(T, dtype=bool)
-    x = [0] * C
-    matched_pairs = 0
-    matching: list[tuple[int, int]] = []
-    edges: list[tuple[int, int]] | None = [] if retain_graph else None
-
-    sample_row = {t: k for k, t in enumerate(grid.tolist())}
-
-    for t in range(1, T + 1):
-        c = int(arrivals[t - 1])
-        nv = t - 1
-        if nv:
-            np.less(rng.random(nv), rho_arr[c, node_class[:nv]], out=psi[:nv])
-            if edges is not None:
-                edges.extend((v, nv) for v in np.nonzero(psi[:nv])[0])
-        j = choose(c, x)
-        node_class[nv] = c
-        unmatched[nv] = True
-        partner = -1
-        if nv and x[j] > 0:
-            elig = psi[:nv] & unmatched[:nv] & (node_class[:nv] == j)
-            hits = np.nonzero(elig)[0]
-            if hits.size:
-                partner = int(hits[0])
-        if partner >= 0:
-            unmatched[partner] = False
-            unmatched[nv] = False
-            matching.append((partner, nv))
-            x[j] -= 1
-            matched_pairs += 1
-        else:
-            x[c] += 1
-        k = sample_row.get(t)
-        if k is not None:
-            samp_x[k] = x
-            samp_matched[k] = matched_pairs
-
-    return FullGraphRun(T=T, seed=seed, t_grid=grid, x=samp_x,
-                        sup_norm=samp_x.max(axis=1), matched_pairs=samp_matched,
-                        node_class=node_class, unmatched=unmatched,
-                        matching=tuple(matching),
-                        edges=None if edges is None else tuple(edges),
-                        final_x=tuple(int(v) for v in x))
-
-
-def enumerate_exact_distribution(spec: ModelSpec, policy: PolicyConfig, T: int) -> dict[State, float]:
-    """Exact law of the count vector after T arrivals of the full-graph
-    engine, by enumeration of every arrival class and edge indicator."""
-    if T > ENUMERATION_MAX_T:
-        raise ValueError(f"exact enumeration capped at T = {ENUMERATION_MAX_T}")
-    C = spec.n_classes
-    rho = spec.rho
-    nu = spec.nu
-    choose = _shared_choice(spec, policy)
-    out: dict[State, float] = {}
-
-    def counts(nodes) -> list[int]:
-        x = [0] * C
-        for cl, um in nodes:
-            if um:
-                x[cl] += 1
-        return x
-
-    def rec(t: int, nodes: tuple, prob: float) -> None:
-        if t > T:
-            key = tuple(counts(nodes))
-            out[key] = out.get(key, 0.0) + prob
-            return
-        nv = len(nodes)
-        for c in range(C):
-            pc = nu[c]
-            for bits in range(1 << nv):
-                p_edges = 1.0
-                for v in range(nv):
-                    r = rho[c][nodes[v][0]]
-                    p_edges *= r if (bits >> v) & 1 else 1.0 - r
-                    if p_edges == 0.0:
-                        break
-                if p_edges == 0.0:
-                    continue
-                x = counts(nodes)
-                j = choose(c, x)
-                partner = -1
-                if x[j] > 0:
-                    for v in range(nv):
-                        if nodes[v][1] and nodes[v][0] == j and (bits >> v) & 1:
-                            partner = v
-                            break
-                if partner >= 0:
-                    new_nodes = tuple((cl, um and v != partner)
-                                      for v, (cl, um) in enumerate(nodes)) + ((c, False),)
-                else:
-                    new_nodes = nodes + ((c, True),)
-                rec(t + 1, new_nodes, prob * pc * p_edges)
-
-    rec(1, (), 1.0)
     return out

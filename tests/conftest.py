@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -20,7 +21,8 @@ from sbmatch import KernelError, ModelSpec, make_spec, quadratic, root_graph, tr
 from sbmatch import scenarios
 from sbmatch.kernel import TransitionRow
 from sbmatch.policy import PolicyConfig, State, select_class, support
-from sbmatch.simulate import Trajectory, _draw_arrivals, _sample_grid, _seed_seq, coupled_walk
+from sbmatch.simulate import (Trajectory, _draw_arrivals, _sample_grid, _seed_seq, _shared_choice,
+                              coupled_walk)
 
 
 @pytest.fixture
@@ -395,4 +397,151 @@ def scalar_final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed
             else:
                 x[c] += 1
         out[rep] = x
+    return out
+
+
+# The full-graph engine: every node and edge indicator, the ground truth the
+# lazy engine and the kernel are checked against at small horizons.
+FULL_GRAPH_MAX_T = 1000
+ENUMERATION_MAX_T = 6
+
+
+@dataclass(frozen=True, eq=False)
+class FullGraphRun:
+    """Outcome of the node-level engine: a sampled trajectory plus the realized
+    matching (pairs of node ids, arrival order) and, optionally, the edges."""
+
+    T: int
+    seed: object
+    t_grid: np.ndarray
+    x: np.ndarray
+    sup_norm: np.ndarray
+    matched_pairs: np.ndarray
+    node_class: np.ndarray
+    unmatched: np.ndarray
+    matching: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] | None
+    final_x: State
+
+
+def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
+                   sample_every: int | None = None,
+                   retain_graph: bool = False) -> FullGraphRun:
+    """Run the node-level engine, materializing every edge indicator.
+
+    Quadratic in T, capped at T = 1000.  When the targeted class has an
+    edge to the arrival among its unmatched nodes, the arrival is matched to
+    the eligible node that arrived first.
+    """
+    if T > FULL_GRAPH_MAX_T:
+        raise ValueError(f"full-graph engine capped at T = {FULL_GRAPH_MAX_T}")
+    rng = np.random.default_rng(_seed_seq(seed))
+    arrivals = _draw_arrivals(spec, T, rng)
+    choose = _shared_choice(spec, policy)
+    rho_arr = np.asarray(spec.rho)
+    C = spec.n_classes
+
+    grid = _sample_grid(T, sample_every)
+    S = grid.size
+    samp_x = np.zeros((S, C), dtype=np.int64)
+    samp_matched = np.zeros(S, dtype=np.int64)
+
+    node_class = np.zeros(T, dtype=np.int64)
+    unmatched = np.zeros(T, dtype=bool)
+    psi = np.zeros(T, dtype=bool)
+    x = [0] * C
+    matched_pairs = 0
+    matching: list[tuple[int, int]] = []
+    edges: list[tuple[int, int]] | None = [] if retain_graph else None
+
+    sample_row = {t: k for k, t in enumerate(grid.tolist())}
+
+    for t in range(1, T + 1):
+        c = int(arrivals[t - 1])
+        nv = t - 1
+        if nv:
+            np.less(rng.random(nv), rho_arr[c, node_class[:nv]], out=psi[:nv])
+            if edges is not None:
+                edges.extend((v, nv) for v in np.nonzero(psi[:nv])[0])
+        j = choose(c, x)
+        node_class[nv] = c
+        unmatched[nv] = True
+        partner = -1
+        if nv and x[j] > 0:
+            elig = psi[:nv] & unmatched[:nv] & (node_class[:nv] == j)
+            hits = np.nonzero(elig)[0]
+            if hits.size:
+                partner = int(hits[0])
+        if partner >= 0:
+            unmatched[partner] = False
+            unmatched[nv] = False
+            matching.append((partner, nv))
+            x[j] -= 1
+            matched_pairs += 1
+        else:
+            x[c] += 1
+        k = sample_row.get(t)
+        if k is not None:
+            samp_x[k] = x
+            samp_matched[k] = matched_pairs
+
+    return FullGraphRun(T=T, seed=seed, t_grid=grid, x=samp_x,
+                        sup_norm=samp_x.max(axis=1), matched_pairs=samp_matched,
+                        node_class=node_class, unmatched=unmatched,
+                        matching=tuple(matching),
+                        edges=None if edges is None else tuple(edges),
+                        final_x=tuple(int(v) for v in x))
+
+
+def enumerate_exact_distribution(spec: ModelSpec, policy: PolicyConfig, T: int) -> dict[State, float]:
+    """Exact law of the count vector after T arrivals of the full-graph
+    engine, by enumeration of every arrival class and edge indicator."""
+    if T > ENUMERATION_MAX_T:
+        raise ValueError(f"exact enumeration capped at T = {ENUMERATION_MAX_T}")
+    C = spec.n_classes
+    rho = spec.rho
+    nu = spec.nu
+    choose = _shared_choice(spec, policy)
+    out: dict[State, float] = {}
+
+    def counts(nodes) -> list[int]:
+        x = [0] * C
+        for cl, um in nodes:
+            if um:
+                x[cl] += 1
+        return x
+
+    def rec(t: int, nodes: tuple, prob: float) -> None:
+        if t > T:
+            key = tuple(counts(nodes))
+            out[key] = out.get(key, 0.0) + prob
+            return
+        nv = len(nodes)
+        for c in range(C):
+            pc = nu[c]
+            for bits in range(1 << nv):
+                p_edges = 1.0
+                for v in range(nv):
+                    r = rho[c][nodes[v][0]]
+                    p_edges *= r if (bits >> v) & 1 else 1.0 - r
+                    if p_edges == 0.0:
+                        break
+                if p_edges == 0.0:
+                    continue
+                x = counts(nodes)
+                j = choose(c, x)
+                partner = -1
+                if x[j] > 0:
+                    for v in range(nv):
+                        if nodes[v][1] and nodes[v][0] == j and (bits >> v) & 1:
+                            partner = v
+                            break
+                if partner >= 0:
+                    new_nodes = tuple((cl, um and v != partner)
+                                      for v, (cl, um) in enumerate(nodes)) + ((c, False),)
+                else:
+                    new_nodes = nodes + ((c, True),)
+                rec(t + 1, new_nodes, prob * pc * p_edges)
+
+    rec(1, (), 1.0)
     return out

@@ -16,7 +16,6 @@ from scipy import stats
 from sbmatch import (
     check_assumption,
     check_main_drift,
-    enumerate_exact_distribution,
     final_states,
     invariant_mean_bound,
     make_policy,
@@ -34,7 +33,7 @@ from sbmatch import (
 )
 from sbmatch.policy import W1, W2
 
-from conftest import random_model, random_state
+from conftest import enumerate_exact_distribution, random_model, random_state
 
 
 def report(n: int, ok: bool, detail: str) -> None:

@@ -5,6 +5,7 @@ import gc
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,7 +44,6 @@ def test_config_fractions_weight_alpha(tmp_path):
     assert cfg.weight.name == "w2"
     # priority list b > a > c, stored as per-class values with the largest first
     assert cfg.alpha == (2, 3, 1)
-    assert cfg.n_check == 500
     assert cfg.run.T == 400 and cfg.run.base_seed == 11
 
 
@@ -309,9 +309,8 @@ def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
     ("run", "walk_set", ["a", "b"], "walk_set"),
     ("run", "sample_every", 0, "run.sample_every"),
     ("analyze", "cap", 0, "analyze.cap"),
-    ("policy", "n_check", 0, "policy.n_check"),
 ], ids=["solver-list", "solver-name", "walk-set-not-independent", "sample-every-zero",
-        "cap-zero", "n-check-zero"])
+        "cap-zero"])
 def test_load_config_refuses_bad_solver_and_walk_set(tmp_path, section, key, value, match):
     doc = sweep_cfg()
     doc[section][key] = value
@@ -346,7 +345,7 @@ CONFIG_PATHS = [
     (), ("model",), ("model", "classes"), ("model", "classes", 0), ("model", "nu"),
     ("model", "nu", 1), ("model", "rho"), ("model", "rho", 0), ("model", "rho", 1, 2),
     ("policy",), ("policy", "weight"), ("policy", "alpha"), ("policy", "alpha", 0),
-    ("policy", "n_check"), ("run",), ("run", "T"), ("run", "replicas"),
+    ("run",), ("run", "T"), ("run", "replicas"),
     ("run", "base_seed"), ("run", "sample_every"), ("run", "walk_set"),
     ("run", "walk_set", 0), ("analyze",), ("analyze", "cap"), ("analyze", "max_norm"),
     ("analyze", "solver"), ("sweep",), ("sweep", "models"), ("sweep", "models", 0),
@@ -391,3 +390,42 @@ def test_load_config_fuzz_raises_only_config_errors(tmp_path, edits):
     except ConfigError:
         return
     assert all(v > 0.0 for v in cfg.spec.nu)
+
+
+def key_paths(node, path=()):
+    """The path to every dict key of a JSON document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,)
+            yield from key_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from key_paths(child, path + (i,))
+
+
+def test_readme_config_loads_and_sets_only_keys_the_loader_reads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A config looks like:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(block)
+    load_config(write_cfg(tmp_path, doc))
+    for path in key_paths(doc):
+        if path[:4] == ("sweep", "models", 0, "model"):
+            path = path[3:]  # a sweep entry's model is read like the model section
+        assert path in CONFIG_PATHS, path
+
+
+@pytest.mark.parametrize("rho,code", [(7e-4, 0), (1e-20, 2)])
+def test_drift_at_small_rates_under_w2(tmp_path, capsys, rho, code):
+    # the threshold of w2 is 13,592 at rho 7e-4, past the old 10,000-entry scan;
+    # at 1e-20 it exceeds 2**53 and is refused with one error line
+    doc = triangle_cfg()
+    doc["policy"] = {"weight": "w2"}
+    doc["model"]["rho"] = [[0.0, rho, rho], [rho, 0.0, rho], [rho, rho, 0.0]]
+    out = str(tmp_path / "drift.csv")
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", out, "--max-norm", "2",
+                 "drift"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

@@ -95,6 +95,28 @@ def test_n_star_matches_the_four_evaluation_scan(n_check):
                 assert n_star(weight, r, n_check) == expected, (weight.name, r)
 
 
+def test_make_policy_threshold_equals_the_scan():
+    # the closed forms of w1 and w2 against the windowed scan, each window
+    # 3 ln(1/r) / r + 100 wide so that the scan decides every rate
+    rates = np.geomspace(1e-4, 1.0, 1000).tolist() + np.linspace(1.0, 1e-3, 300).tolist()
+    for r in rates + [0.3, 0.5]:
+        spec = make_spec(("a", "b"), (Fraction(1, 2), Fraction(1, 2)), ((0.0, r), (r, 0.0)))
+        window = int(3 * np.log(1 / r) / r) + 100
+        for weight in (W1, W2):
+            assert make_policy(spec, weight).n_star == n_star(weight, r, window), (weight.name, r)
+
+
+def test_w2_threshold_past_the_scan_window_and_past_float_resolution():
+    spec = make_spec(("a", "b"), (Fraction(1, 2), Fraction(1, 2)), ((0.0, 7e-4), (7e-4, 0.0)))
+    assert make_policy(spec, W2).n_star == n_star(W2, 7e-4, 100_000) == 13_592
+    # near 1e-8 float rounding moves the scan's crossing off the exact root;
+    # past 2**53 a float no longer tells n from n + 1
+    with pytest.raises(PolicyError, match="settle"):
+        W2.threshold(1e-9)
+    with pytest.raises(PolicyError, match=r"2\*\*53"):
+        W2.threshold(1e-20)
+
+
 def test_check_assumption_passes_for_builtins():
     for weight in (W1, W2):
         rep = check_assumption(weight)
@@ -107,16 +129,14 @@ def test_check_assumption_passes_for_builtins():
 
 
 def test_check_assumption_flags_decreasing_weight():
-    bad = WeightFunction(name="bad", fn=lambda n, r: (n > 0) * (r > 0) / (1.0 + n),
-                         certified=False)
+    bad = WeightFunction(name="bad", fn=lambda n, r: (n > 0) * (r > 0) / (1.0 + n))
     rep = check_assumption(bad, n_check=200)
     assert not rep.ok
     assert not rep.hyp2_ok
 
 
 def test_check_assumption_flags_wrong_positivity():
-    bad = WeightFunction(name="const", fn=lambda n, r: np.ones_like(np.asarray(n, dtype=float)),
-                         certified=False)
+    bad = WeightFunction(name="const", fn=lambda n, r: np.ones_like(np.asarray(n, dtype=float)))
     rep = check_assumption(bad, n_check=50)
     assert not rep.hyp1_ok
 
@@ -209,7 +229,7 @@ def test_weights_within_tolerance_tie_and_the_larger_alpha_wins():
     # WEIGHT_TOL, so the tie goes to c, whose alpha is larger
     spec = make_spec(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
                      ((0.0, 0.6, 0.3), (0.6, 0.0, 0.0), (0.3, 0.0, 0.0)))
-    pol = make_policy(spec, NEAR_TIE, n_check=100)
+    pol = make_policy(spec, NEAR_TIE)
     assert pol.alpha[2] > pol.alpha[1]
     choice = simulate._Choice(spec, pol)
     for n in range(1, 6):

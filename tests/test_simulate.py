@@ -10,9 +10,7 @@ from sbmatch import (
     W1,
     W2,
     coupled_walk,
-    enumerate_exact_distribution,
     final_states,
-    full_graph_run,
     make_policy,
     make_spec,
     new_sim,
@@ -26,7 +24,7 @@ from sbmatch import (
 )
 from sbmatch import scenarios, simulate
 
-from conftest import scalar_final_states, scalar_run
+from conftest import enumerate_exact_distribution, full_graph_run, scalar_final_states, scalar_run
 
 
 def chi_square_ok(observed_counts, expected_probs, n, significance=1e-3):
@@ -157,6 +155,19 @@ def test_coupled_walk_small_case(bipartite_spec):
 def test_coupled_walk_rejects_dependent_set(triangle_spec):
     with pytest.raises(ValueError):
         coupled_walk(triangle_spec, {0, 1}, [0, 1])
+
+
+def test_engine_refuses_an_overlong_path_before_drawing(monkeypatch, triangle_spec):
+    def no_draws(*args):
+        raise AssertionError("arrivals drawn for a path past the bound")
+
+    monkeypatch.setattr(simulate, "_draw_arrivals", no_draws)
+    pol = make_policy(triangle_spec)
+    T = 1 << simulate.KEY_BITS
+    with pytest.raises(ValueError, match="capped"):
+        run(triangle_spec, pol, T, 1)
+    with pytest.raises(ValueError, match="capped"):
+        final_states(triangle_spec, pol, T, 1, 1)
 
 
 def test_run_replicas_and_final_states_agree(triangle_spec):

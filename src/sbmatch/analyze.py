@@ -2,12 +2,12 @@
 
 The chain is truncated to the sup-norm ball reachable from the origin;
 arrivals that would leave the ball are rejected in place, which shows up as
-a boundary self-loop.  The stationary law of the truncation is solved
-directly for moderate state counts and by power iteration on the two-step
-kernel otherwise.  The chain is periodic with period two away from the
-boundary (each arrival changes the total count by one), so the power method
-starts from the average of the two parity phases, and the per-parity
-components of the stationary law are exposed for convergence diagnostics.
+a boundary self-loop.  The stationary law of the truncation is one sparse
+solve: pi(origin) is pinned to 1, the origin's balance equation is dropped,
+and BiCGSTAB solves the rest of (I - P^T) pi = 0.  The chain is periodic
+with period two away from the boundary (each arrival changes the total
+count by one), so the per-parity components of the stationary law are
+exposed for convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -31,17 +31,15 @@ from .simulate import Trajectory, run
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# LU fill-in, not the state count, is what makes the direct solve explode
-# on these lattice-shaped graphs, so the direct route is reserved for
-# genuinely small chains; everything else converges in a handful of
-# two-step power iterations anyway.
-DIRECT_SOLVE_MAX_STATES = 5000
-# The power iteration stops when successive iterates differ by less than
-# POWER_TOL in L1; any solve whose residual exceeds RESIDUAL_TOL is refused.
-POWER_TOL = 1e-12
+# Any solve whose residual exceeds RESIDUAL_TOL is refused.  BiCGSTAB
+# restarts from its own iterate while the normalised vector misses it, for
+# at most STATIONARY_RUNS runs: a first run can stagnate just above the
+# target on large chains.
 RESIDUAL_TOL = 1e-10
-# The methods of stationary(), which the CLI also checks a config against.
-SOLVERS = ("auto", "direct", "power")
+STATIONARY_RUNS = 3
+# Boundary mass above which the stationary verb warns that the cap is too
+# small for the truncated law to stand in for the untruncated one.
+BOUNDARY_WARN = 1e-3
 
 
 class ConvergenceError(RuntimeError):
@@ -55,7 +53,6 @@ class TruncatedChain:
     cap: int
     states: np.ndarray  # (n, C) int64 count vectors in sorted order, the origin first
     P: sp.csr_matrix
-    PT: sp.csr_matrix  # P transposed, for the forward pushes of the solvers
     sup_norms: np.ndarray
     parity: np.ndarray
     boundary: np.ndarray  # sup norm within one unit of the cap
@@ -79,7 +76,7 @@ def truncate(spec: ModelSpec, policy: PolicyConfig, cap: int) -> TruncatedChain:
     grid, P = transition_table(spec, policy, cap)
     norms = grid.max(axis=1)
     return TruncatedChain(spec=spec, policy=policy, cap=cap, states=grid,
-                          P=P, PT=P.T.tocsr(), sup_norms=norms,
+                          P=P, sup_norms=norms,
                           parity=grid.sum(axis=1) & 1, boundary=norms >= cap - 1)
 
 
@@ -93,65 +90,38 @@ class StationaryEstimate:
     pi_odd: np.ndarray
     even_sum: float
     odd_sum: float
-    method: str
-    iterations: int
+    iterations: int  # BiCGSTAB iterations, summed over its runs
 
 
-def _direct_solve(PT: sp.csr_matrix) -> np.ndarray:
-    """pi (P - I) = 0 with its last equation replaced by sum(pi) = 1."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    n = PT.shape[0]
-    A = sp.vstack([(PT - sp.identity(n, format="csr"))[:-1], sp.csr_matrix(np.ones((1, n)))],
-                  format="csc")
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    return spla.spsolve(A, b)
-
-
-def _power_solve(PT: sp.csr_matrix, max_iter: int, parity_average: bool) -> tuple[np.ndarray, int]:
-    n = PT.shape[0]
-    u = np.full(n, 1.0 / n)
-    if parity_average:
-        # The parity-averaged iterates (P^2k u + P^(2k+1) u) / 2 are the
-        # two-step iterates of the averaged start (u + P u) / 2.
-        u = 0.5 * (u + PT @ u)
-    for it in range(1, max_iter + 1):
-        nxt = PT @ (PT @ u)
-        if np.abs(nxt - u).sum() < POWER_TOL:
-            return nxt, it
-        u = nxt
-    return u, max_iter
-
-
-def stationary(chain: TruncatedChain, method: str = "auto", max_iter: int = 100_000,
-               parity_average: bool = True) -> StationaryEstimate:
+def stationary(chain: TruncatedChain) -> StationaryEstimate:
     """Solve pi P = pi on the truncated chain.
 
-    method "direct" solves the sparse linear system, "power" iterates the
-    two-step kernel from the average of the two parity phases (from the
-    uniform vector when parity_average is off), and "auto" picks direct
-    below 5000 states.  A residual above RESIDUAL_TOL raises
-    ConvergenceError rather than returning a bad estimate.
+    pi(origin) is pinned to 1 (the origin is states[0]) and the origin's
+    balance equation dropped, which leaves a nonsingular system for the
+    other states; BiCGSTAB solves it from the all-ones vector.  A residual
+    above RESIDUAL_TOL after STATIONARY_RUNS runs raises ConvergenceError
+    rather than returning a bad estimate.
     """
-    if method not in SOLVERS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "direct" if chain.n_states < DIRECT_SOLVE_MAX_STATES else "power"
-    if method == "direct":
-        pi = _direct_solve(chain.PT)
-        iterations = 0
-    else:
-        pi, iterations = _power_solve(chain.PT, max_iter, parity_average)
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import bicgstab
 
-    pi = np.where(pi > 0.0, pi, 0.0)
-    total = pi.sum()
-    if not math.isfinite(total) or total <= 0.0:
-        raise ConvergenceError("stationary solve produced a degenerate vector")
-    pi = pi / total
-    residual = float(np.abs(pi @ chain.P - pi).sum())
-    if residual > RESIDUAL_TOL:
+    A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
+    b = chain.P[0].toarray().ravel()[1:]  # minus the origin's column of I - P^T
+    rest = np.ones(chain.n_states - 1)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    for _ in range(STATIONARY_RUNS):
+        rest, _ = bicgstab(A, b, x0=rest, rtol=1e-13, atol=0.0, callback=count)
+        pi = np.concatenate(([1.0], np.where(rest > 0.0, rest, 0.0)))
+        pi /= pi.sum()
+        residual = float(np.abs(pi @ chain.P - pi).sum())
+        if residual <= RESIDUAL_TOL:
+            break
+    else:
         raise ConvergenceError(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
     even = chain.parity == 0
@@ -166,7 +136,6 @@ def stationary(chain: TruncatedChain, method: str = "auto", max_iter: int = 100_
         pi_odd=pi_odd,
         even_sum=float(pi_even.sum()),
         odd_sum=float(pi_odd.sum()),
-        method=method,
         iterations=iterations,
     )
 
@@ -195,7 +164,7 @@ def tv_periodic(chain: TruncatedChain, estimate: StationaryEstimate, t: int, l: 
     d = np.zeros(chain.n_states)
     d[0] = 1.0  # the origin comes first
     for _ in range(2 * t + l):
-        d = chain.PT @ d
+        d = chain.P.T @ d
     target = estimate.pi_even if l == 0 else estimate.pi_odd
     return float(np.abs(d - target).sum())
 

@@ -31,6 +31,7 @@ always required.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -83,6 +84,12 @@ def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndar
     cum = np.cumsum(spec.nu)
     idx = np.searchsorted(cum, rng.random(T), side="right")
     return np.minimum(idx, spec.n_classes - 1).astype(np.int64)
+
+
+@lru_cache(maxsize=CHOICE_MEMOS)
+def _cumulative_nu(spec: ModelSpec) -> tuple[float, ...]:
+    """The cumulative arrival rates that _draw_arrivals searches, as floats."""
+    return tuple(np.cumsum(spec.nu).tolist())
 
 
 class _Choice:
@@ -217,7 +224,8 @@ def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
     pops for this arrival, capped at x(j); or x(j) when rho(c, j) = 0
     (probing a class with no edges burns all its nodes).
     """
-    c = int(_draw_arrivals(spec, 1, sim.rng)[0])
+    # _draw_arrivals(spec, 1, rng) on the same stream, without the arrays
+    c = min(bisect_right(_cumulative_nu(spec), sim.rng.random()), spec.n_classes - 1)
     choice = _shared_choice(spec, policy)
     j = choice(c, sim.x)
     xj, buf = sim.x[j], sim.buffers[c][j]

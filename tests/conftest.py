@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sbmatch import KernelError, ModelSpec, make_spec, quadratic, root_graph, transition_row
 from sbmatch import scenarios
@@ -141,6 +142,16 @@ def scalar_truncate(spec: ModelSpec, policy, cap: int):
     norms = np.asarray([max(x) for x in states], dtype=np.int64)
     parity = np.asarray([sum(x) & 1 for x in states], dtype=np.int64)
     return states, index, P, norms, parity, norms >= cap - 1
+
+
+def direct_stationary(chain) -> np.ndarray:
+    """Stationary law of a truncated chain by a sparse LU solve of the
+    origin-pinned system: pi(origin) = 1, the origin's balance equation
+    dropped, then normalised."""
+    n = chain.n_states
+    A = (sp.identity(n, format="csc") - chain.P.T).tocsc()[1:, 1:]
+    pi = np.concatenate(([1.0], spla.spsolve(A, chain.P[0].toarray().ravel()[1:])))
+    return pi / pi.sum()
 
 
 def scalar_reachable(spec: ModelSpec, policy, cap: int):

@@ -240,7 +240,7 @@ def test_criterion_8_stationary_mean_bound(triangle_station):
 
     solo = scenarios.single_selfloop(0.5)
     two = truncate(solo, make_policy(solo), 1)
-    pi0 = stationary(two, method="direct").pi[0]  # the origin comes first in the grid
+    pi0 = stationary(two).pi[0]  # the origin comes first in the grid
     hand_gap = abs(pi0 - 0.5 / 1.5)
     ok = ok and two.states.tolist() == [[0], [1]] and hand_gap <= 1e-12
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sbmatch import (
-    ConvergenceError,
     analyze,
     eta_sweep,
     invariant_mean_bound,
@@ -22,7 +21,7 @@ from sbmatch import (
 )
 from sbmatch.policy import W1, W2
 
-from conftest import scalar_reachable, scalar_truncate
+from conftest import direct_stationary, scalar_reachable, scalar_truncate
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +112,7 @@ def test_single_selfloop_matches_birth_death_product_form(p):
         weights.append(weights[-1] * (1.0 - p) ** x / (1.0 - (1.0 - p) ** (x + 1)))
     expected = np.asarray(weights) / sum(weights)
     assert ch.states.tolist() == [[x] for x in range(31)]
-    np.testing.assert_allclose(stationary(ch, "direct").pi, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(stationary(ch).pi, expected, rtol=0.0, atol=1e-12)
 
 
 def test_two_state_chain_solved_exactly():
@@ -121,66 +120,40 @@ def test_two_state_chain_solved_exactly():
     solo = scenarios.single_selfloop(0.5)
     ch = truncate(solo, make_policy(solo), 1)
     assert ch.states.tolist() == [[0], [1]]  # the origin comes first
-    est = stationary(ch, method="direct")
+    est = stationary(ch)
     pi0 = est.pi[0]
     assert pi0 == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert est.mean_sup_norm == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_direct_and_power_agree():
-    tri = scenarios.triangle()
-    pol = make_policy(tri)
-    ch = truncate(tri, pol, 18)
-    direct = stationary(ch, method="direct")
-    power = stationary(ch, method="power")
-    assert np.abs(direct.pi - power.pi).sum() < 1e-9
-    assert direct.mean_sup_norm == pytest.approx(power.mean_sup_norm, abs=1e-9)
-    assert power.iterations > 0 and direct.iterations == 0
-    assert direct.method == "direct" and power.method == "power"
-
-
-def test_power_needs_parity_averaging():
-    # the raw two-step iteration equilibrates the parity split only through
-    # the rim self-loops, far too slowly to pass the residual gate
+def test_stationary_matches_the_oracle():
     tri = scenarios.triangle()
     ch = truncate(tri, make_policy(tri), 18)
-    with pytest.raises(ConvergenceError, match="residual"):
-        stationary(ch, method="power", parity_average=False, max_iter=500)
-    est = stationary(ch, method="power", parity_average=True)
-    assert est.residual < 1e-10
+    est = stationary(ch)
+    oracle = direct_stationary(ch)
+    assert np.abs(est.pi - oracle).sum() < 1e-10
+    assert est.mean_sup_norm == pytest.approx(float(oracle @ ch.sup_norms), abs=1e-10)
+    assert est.iterations > 0
 
 
-@pytest.mark.parametrize("name,weight,cap,iterations,failed_at", [
-    ("mixed_selfloop", W1, 4, 345, None),
-    ("mixed_selfloop", W2, 5, 281, "1.597e-10"),
-    ("triangle", W1, 18, 171, None),
-    ("path3", W2, 20, 662, None),
-    ("single_selfloop", W1, 30, 33, None),
-])
-def test_power_iteration_counts_and_verdicts(name, weight, cap, iterations, failed_at):
-    # pinned values of the parity-averaged power iteration: how many two-step
-    # iterations it takes, whether it meets the residual gate, and where it
-    # does, that it lands within the gate's scale of the direct solve (the
-    # L1 gap is up to 3.3e-11 here, set by POWER_TOL and the mixing speed)
+@pytest.mark.parametrize("name,weight,cap",
+                         [("mixed_selfloop", weight, cap)
+                          for weight in (W1, W2) for cap in range(2, 17)]
+                         + [("triangle", weight, cap) for weight in (W1, W2) for cap in (5, 12)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_stationary_meets_the_residual_gate(name, weight, cap):
+    # a power iteration stops above the gate on mixed_selfloop at caps 8 to
+    # 14 and on the triangle at caps 5 and 12
     spec = getattr(scenarios, name)()
     ch = truncate(spec, make_policy(spec, weight), cap)
-    if failed_at is not None:
-        assert analyze._power_solve(ch.PT, 100_000, True)[1] == iterations
-        with pytest.raises(ConvergenceError, match=f"residual {failed_at} exceeds"):
-            stationary(ch, method="power")
-        return
-    power = stationary(ch, method="power")
-    assert power.iterations == iterations
-    assert np.abs(power.pi - stationary(ch, method="direct").pi).sum() < 1e-10
-
-
-def test_stationary_rejects_unknown_method(tri_chain):
-    with pytest.raises(ValueError):
-        stationary(tri_chain, method="cramer")
+    est = stationary(ch)
+    assert est.residual <= analyze.RESIDUAL_TOL
+    if ch.n_states < 5000:
+        assert np.abs(est.pi - direct_stationary(ch)).sum() < 1e-10
 
 
 def test_parity_components(tri_chain):
-    est = stationary(tri_chain, method="direct")
+    est = stationary(tri_chain)
     assert est.even_sum == pytest.approx(1.0, abs=1e-3)
     assert est.odd_sum == pytest.approx(1.0, abs=1e-3)
     assert est.even_sum + est.odd_sum == pytest.approx(2.0, abs=1e-12)
@@ -190,7 +163,7 @@ def test_parity_components(tri_chain):
 
 
 def test_tv_periodic_decays(tri_chain):
-    est = stationary(tri_chain, method="direct")
+    est = stationary(tri_chain)
     early = tv_periodic(tri_chain, est, 1, 0)
     late0 = tv_periodic(tri_chain, est, 60, 0)
     late1 = tv_periodic(tri_chain, est, 60, 1)
@@ -214,7 +187,7 @@ def test_mean_bound_requires_stability(bipartite_spec):
 
 
 def test_stationary_mean_within_bound(tri_chain):
-    est = stationary(tri_chain, method="direct")
+    est = stationary(tri_chain)
     bound = invariant_mean_bound(tri_chain.spec, tri_chain.policy)
     assert est.mean_sup_norm <= bound
 
@@ -241,7 +214,7 @@ def test_metrics_summary_fields(triangle_spec):
 def test_ergodic_average_matches_stationary_mean():
     tri = scenarios.triangle()
     pol = make_policy(tri)
-    chain_mean = stationary(truncate(tri, pol, 18), method="direct").mean_sup_norm
+    chain_mean = stationary(truncate(tri, pol, 18)).mean_sup_norm
     trajs = run_replicas(tri, pol, 200_000, 31, 8)
     erg = np.asarray([t.ergodic_avg[-1] for t in trajs])
     assert abs(erg.mean() - chain_mean) < 4.0 * erg.std(ddof=1) / np.sqrt(len(erg))

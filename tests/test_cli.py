@@ -162,7 +162,7 @@ def test_oversize_sweep_ball_exits_2_before_the_sweep(tmp_path, capsys):
 def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
     from sbmatch import analyze
 
-    def fails(chain, method="auto"):
+    def fails(chain):
         raise analyze.ConvergenceError("stationary residual 2.0e-09 exceeds 1.0e-10")
 
     monkeypatch.setattr(analyze, "stationary", fails)
@@ -200,19 +200,48 @@ def test_appendix_rows(tmp_path, capsys):
 
 
 def test_stationary_report(tmp_path, capsys):
-    doc = {"model": {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]},
-           "analyze": {"cap": 6, "solver": "direct"}}
+    doc = {"model": {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}, "analyze": {"cap": 6}}
     out = tmp_path / "pi.csv"
     assert main(["--config", write_cfg(tmp_path, doc),
                  "--out", str(out), "stationary"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["n_states"] == 7
-    assert rep["method"] == "direct"
     assert rep["mean_bound"] == pytest.approx(4.5)
     assert rep["bound_ok"] is True
     rows = read_csv(out)
     assert rows[0] == ["x_s", "pi"]
     assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["power", "lu", ["power"]], ids=["power", "lu", "power-list"])
+def test_a_leftover_solver_key_is_ignored(tmp_path, capsys, solver):
+    doc = {"model": {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}, "analyze": {"cap": 6}}
+    outs = []
+    for name, analyze in (("plain.json", doc["analyze"]),
+                          ("solver.json", {**doc["analyze"], "solver": solver})):
+        assert main(["--config", write_cfg(tmp_path, {**doc, "analyze": analyze}, name),
+                     "--out", str(tmp_path / "pi.csv"), "stationary"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("model,cap,warns", [
+    # boundary mass 0.99 on the triangle at cap 2; 7.1e-4 on the
+    # self-matching class at cap 6, just under the 1e-3 threshold
+    (triangle_cfg()["model"], 2, True),
+    ({"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}, 6, False),
+], ids=["triangle-cap2", "solo-cap6"])
+def test_stationary_warns_on_a_heavy_rim(tmp_path, capsys, model, cap, warns):
+    out = str(tmp_path / "pi.csv")
+    assert main(["--config", write_cfg(tmp_path, {"model": model, "analyze": {"cap": cap}}),
+                 "--out", out, "stationary"]) == 0
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert (rep["boundary_mass"] > 1e-3) == warns
+    if warns:
+        assert captured.err.startswith("warning: boundary mass") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
 
 
 def test_sweep_csv(tmp_path, capsys):
@@ -304,13 +333,10 @@ def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
 
 
 @pytest.mark.parametrize("section,key,value,match", [
-    ("analyze", "solver", ["power"], "solver"),
-    ("analyze", "solver", "lu", "solver"),
     ("run", "walk_set", ["a", "b"], "walk_set"),
     ("run", "sample_every", 0, "run.sample_every"),
     ("analyze", "cap", 0, "analyze.cap"),
-], ids=["solver-list", "solver-name", "walk-set-not-independent", "sample-every-zero",
-        "cap-zero"])
+], ids=["walk-set-not-independent", "sample-every-zero", "cap-zero"])
 def test_load_config_refuses_bad_solver_and_walk_set(tmp_path, section, key, value, match):
     doc = sweep_cfg()
     doc[section][key] = value
@@ -333,7 +359,7 @@ def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
 def sweep_cfg():
     doc = triangle_cfg()
     doc["policy"] = {"weight": "w2", "alpha": ["b", "a", "c"], "n_check": 50}
-    doc["analyze"] = {"cap": 4, "max_norm": 3, "solver": "auto"}
+    doc["analyze"] = {"cap": 4, "max_norm": 3}
     doc["sweep"] = {"models": [{"id": "t", "model": triangle_cfg()["model"]}],
                     "T": 10, "replicas": 1}
     doc["run"]["walk_set"] = ["a"]
@@ -348,7 +374,7 @@ CONFIG_PATHS = [
     ("run",), ("run", "T"), ("run", "replicas"),
     ("run", "base_seed"), ("run", "sample_every"), ("run", "walk_set"),
     ("run", "walk_set", 0), ("analyze",), ("analyze", "cap"), ("analyze", "max_norm"),
-    ("analyze", "solver"), ("sweep",), ("sweep", "models"), ("sweep", "models", 0),
+    ("sweep",), ("sweep", "models"), ("sweep", "models", 0),
     ("sweep", "models", 0, "id"), ("sweep", "models", 0, "model"),
     ("sweep", "models", 0, "model", "nu", 0), ("sweep", "T"), ("sweep", "replicas"),
 ]

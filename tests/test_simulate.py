@@ -314,3 +314,20 @@ def test_step_shares_the_memo(monkeypatch, triangle_spec):
     for _ in range(300):
         step(triangle_spec, pol, sim)
     assert len(calls) == len(simulate._shared_choice(triangle_spec, pol).memo) < 300
+
+
+@pytest.mark.parametrize("name", ["mixed_selfloop", "triangle", "path3"])
+def test_step_draws_the_class_as_draw_arrivals_does(name):
+    # step draws its class with one rng.random() and a bisection; the oracle
+    # draws it with _draw_arrivals(spec, 1, rng) from a twin generator, and
+    # both paths then take the same geometric probes
+    spec = getattr(scenarios, name)()
+    pol = make_policy(spec)
+    sim, ref = new_sim(spec, 21), new_sim(spec, 21)
+    choice = simulate._shared_choice(spec, pol)
+    for _ in range(20_000):
+        ev = step(spec, pol, sim)
+        c = int(simulate._draw_arrivals(spec, 1, ref.rng)[0])
+        ref.advance(choice, (c,))
+        assert ev.arrival == c and sim.x == ref.x
+    assert sim.rng.bit_generator.state == ref.rng.bit_generator.state

@@ -30,6 +30,8 @@ from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import analyze, kernel, simulate
 from .model import InvalidModelError, ModelSpec, make_spec, stability, walk_spec
 from .policy import BUILTIN_WEIGHTS, PolicyConfig, WeightFunction, make_policy
@@ -233,6 +235,15 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_chunks(path: str | None, header: list[str], chunks) -> None:
+    """The header through csv.writer, then each chunk, an iterable of rows
+    already formatted as _write_csv would write them, as it comes."""
+    with _output(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for chunk in chunks:
+            fh.writelines(chunk)
+
+
 def _labels(spec: ModelSpec, members) -> list[str]:
     return [str(spec.classes[i]) for i in sorted(members)]
 
@@ -262,14 +273,26 @@ def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+#: States per array pass of the drift and appendix sweeps; the rows of one
+#: chunk are formatted and written before the next chunk is built, so peak
+#: memory is set by this and not by the radius.
+SWEEP_CHUNK = 320
+
+
 def _ball(n_classes: int, max_norm: int):
-    """The sweep's states; a negative radius or an oversize ball is refused."""
+    """The sweep's states {0..max_norm}^C in itertools.product order, as (n, C)
+    arrays of at most SWEEP_CHUNK rows.  A negative radius or an oversize
+    ball is refused here, before any chunk is built."""
     if max_norm < 0:
         raise ValueError(f"the sweep radius must be non-negative, got {max_norm}")
-    if (max_norm + 1) ** n_classes > kernel.BOX_MAX_STATES:
+    side = max_norm + 1
+    total = side ** n_classes
+    if total > kernel.BOX_MAX_STATES:
         raise ValueError(f"the ball {{0..{max_norm}}}^{n_classes} exceeds "
                          f"{kernel.BOX_MAX_STATES} states")
-    return itertools.product(range(max_norm + 1), repeat=n_classes)
+    return (np.stack(np.unravel_index(np.arange(k, min(k + SWEEP_CHUNK, total)),
+                                      (side,) * n_classes), axis=1)
+            for k in range(0, total, SWEEP_CHUNK))
 
 
 def _policy(cfg: ScenarioConfig) -> PolicyConfig:
@@ -293,22 +316,25 @@ def cmd_drift(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     policy = _policy(cfg)
     ball = _ball(spec.n_classes, args.max_norm)
     header = [f"x_{c}" for c in spec.classes] + ["drift", "bound", "slack", "status"]
+    row = "%d," * spec.n_classes + "%.17g,%.17g,%.17g,%s\n"
+    # negative control: matching steps flipped upward, so the sweep must then fail
+    match = 1 if args.corrupt_kernel else -1
     seen = Counter()
 
-    def rows():
-        for x in ball:
-            if args.corrupt_kernel:  # negative control: the sweep must then fail
-                d, b = kernel.corrupted_drift_q(spec, policy, x), kernel.theorem_bound(spec, policy, x)
-            else:
-                rep = kernel.check_main_drift(spec, policy, x)
-                d, b = rep.drift, rep.bound
+    def chunks():
+        for X in ball:
+            d = kernel.drift_q_over(spec, policy, "raw", X, match=match, cap=args.max_norm)
+            b = kernel.theorem_bound_over(spec, policy, X)
             slack = b - d
-            status = "pass" if slack >= -kernel.INEQ_TOL else "fail"
-            seen[status] += 1
-            yield [*x, d, b, slack, status]
+            passed = slack >= -kernel.INEQ_TOL
+            seen["states"] += len(X)
+            seen["fail"] += int(np.count_nonzero(~passed))
+            status = np.where(passed, "pass", "fail").tolist()
+            yield map(row.__mod__, zip(*X.T.tolist(), d.tolist(), b.tolist(),
+                                       slack.tolist(), status))
 
-    _write_csv(args.out, header, rows())
-    print(f"drift: {seen.total()} states, {seen['fail']} failures")
+    _write_chunks(args.out, header, chunks())
+    print(f"drift: {seen['states']} states, {seen['fail']} failures")
     return 1 if seen["fail"] else 0
 
 
@@ -317,20 +343,29 @@ def cmd_appendix(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     policy = _policy(cfg)
     ball = _ball(spec.n_classes, args.max_norm)
     header = [f"x_{c}" for c in spec.classes] + ["step", "applicable", "lhs", "rhs", "slack", "status"]
+    state = "%d," * spec.n_classes
+    checked = "%s,1,%.17g,%.17g,%.17g,%s\n"  # step, lhs, rhs, slack, status
     seen = Counter()
 
-    def rows():
-        for x in ball:
-            for st in kernel.verify_drift_chain(spec, policy, x).steps:
-                if st.applicable:
-                    status, values = "pass" if st.passed else "fail", [1, st.lhs, st.rhs, st.slack]
-                else:
-                    status, values = "skipped", [0, "", "", ""]
-                seen[status] += 1
-                yield [*x, st.name, *values, status]
+    def tails(st: kernel.StepArrays):
+        """The part of each state's row after the state, for one step."""
+        skipped = f"{st.name},0,,,,skipped\n"
+        status = np.where(st.passed, "pass", "fail").tolist()
+        values = zip(itertools.repeat(st.name), st.lhs.tolist(), st.rhs.tolist(),
+                     st.slack.tolist(), status)
+        return (checked % v if app else skipped for app, v in zip(st.applicable.tolist(), values))
 
-    _write_csv(args.out, header, rows())
-    print(f"appendix: {seen['pass'] + seen['fail']} applicable checks, {seen['fail']} failures")
+    def chunks():
+        for X in ball:
+            steps = kernel.verify_drift_chain_over(spec, policy, X, cap=args.max_norm)
+            for st in steps:
+                seen["applicable"] += int(np.count_nonzero(st.applicable))
+                seen["fail"] += int(np.count_nonzero(st.applicable & ~st.passed))
+            heads = map(state.__mod__, map(tuple, X.tolist()))
+            yield (x + tail for x, row in zip(heads, zip(*map(tails, steps))) for tail in row)
+
+    _write_chunks(args.out, header, chunks())
+    print(f"appendix: {seen['applicable']} applicable checks, {seen['fail']} failures")
     return 1 if seen["fail"] else 0
 
 

@@ -12,6 +12,12 @@ quantity that is negative far from the origin whenever the stability margin
 eta is positive.  verify_drift_chain checks the individual reduction
 inequalities that compose the certificate, each under its own hypothesis on
 the state.
+
+box_moves is the per-arrival-class pass over an (n, C) array of states.
+transition_table folds it into the truncated kernel, and drift_q_over,
+theorem_bound_over and verify_drift_chain_over sum it into the certificate
+sweeps, bit for bit as the scalar functions of one state, which stay as
+their oracles.
 """
 
 from __future__ import annotations
@@ -332,6 +338,151 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
 BOX_MAX_STATES = 2_000_000
 
 
+# Holds the tables of the three kernel variants of one appendix sweep.
+@lru_cache(maxsize=4)
+def _move_tables(weight, rho, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """w(k, rho[i][j]) and (1 - rho[i][j]) ** k at [i, j, k] for k < side, from
+    the scalar weight and pow_int, so that they equal select_class's and
+    _arrival_moves' values.  Read-only: every caller shares them."""
+    C = len(rho)
+    weights = np.asarray([[[float(weight.fn(k, rho[i][j])) for k in range(side)]
+                           for j in range(C)] for i in range(C)])
+    miss = np.asarray([[[pow_int(1.0 - rho[i][j], k) for k in range(side)]
+                        for j in range(C)] for i in range(C)])
+    weights.flags.writeable = miss.flags.writeable = False
+    return weights, miss
+
+
+def box_moves(spec: ModelSpec, policy: PolicyConfig, rho, X: np.ndarray, cap: int | None = None):
+    """_arrival_moves over the rows of the (n, C) state array X: per arrival
+    class i in ascending order, (i, j, p_yes, p_no) with the target class j,
+    the match probability and the store probability as arrays over the rows.
+
+    The weights and miss probabilities are looked up in tables over the counts
+    0..cap (cap defaults to the largest count in X), built once per (weight,
+    rho, cap); ties are broken by select_class's rule, weights within
+    WEIGHT_TOL of the maximum tied and the largest alpha winning.  So every
+    entry is bit-identical to _arrival_moves' at the same state.
+    """
+    X = np.asarray(X)
+    side = (int(X.max(initial=0)) if cap is None else cap) + 1
+    weight, miss = _move_tables(policy.weight, rho, side)
+    alpha = np.asarray(policy.alpha)
+    rows, cols = np.arange(len(X)), np.arange(spec.n_classes)
+    for i in range(spec.n_classes):
+        w = weight[i, cols, X]
+        tied = w >= w.max(axis=1, keepdims=True) - WEIGHT_TOL
+        j = np.argmax(np.where(tied, alpha, -1), axis=1)
+        m = miss[i, j, X[rows, j]]
+        yield i, j, spec.nu[i] * (1.0 - m), spec.nu[i] * m
+
+
+def drift_q_over(spec: ModelSpec, policy: PolicyConfig, variant, X: np.ndarray,
+                 match: int = -1, cap: int | None = None) -> np.ndarray:
+    """_q_drift at every row of X: drift_q for match = -1 and
+    corrupted_drift_q for match = +1 (with variant "raw"), summed over
+    ascending arrival classes as the scalar loop sums, so bit-identical."""
+    X = np.asarray(X)
+    rows = np.arange(len(X))
+    total = np.zeros(len(X))
+    for i, j, p_yes, p_no in box_moves(spec, policy, kernel_variant(spec, variant), X, cap):
+        total = total + (p_no * (2 * X[:, i] + 1) + p_yes * (1 + 2 * match * X[rows, j]))
+    return total
+
+
+def _selfloop_sum(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
+    """sum of 2 x(i) nu(i) over the self-loop classes at every row of X, in
+    the iteration order of the scalar sums.  A zero count adds 0.0, which
+    leaves the non-negative sum as the scalar sum that skips it."""
+    total = np.zeros(len(X))
+    for i in root_graph(spec).selfloop_classes:
+        total = total + 2.0 * X[:, i] * spec.nu[i]
+    return total
+
+
+def theorem_bound_over(spec: ModelSpec, policy: PolicyConfig, X: np.ndarray) -> np.ndarray:
+    """theorem_bound at every row of X, bit-identical to it."""
+    graph = root_graph(spec)
+    stab = stability(spec)
+    if not stab.ncond:
+        raise KernelError("the drift certificate requires a positive stability margin")
+    X = np.asarray(X)
+    n_plus = len(graph.selfloop_classes)
+    const = 1.0 + 2.0 * policy.n_star + 4.0 * graph.K * (1 + n_plus)
+    eta_term = 0.0
+    if graph.loopfree_classes:
+        eta_term = 2.0 * stab.eta * X[:, sorted(graph.loopfree_classes)].max(axis=1)
+    loop_term = _selfloop_sum(spec, np.where(X >= policy.n_star, X, 0))
+    return -eta_term - loop_term + const
+
+
+@dataclass(frozen=True)
+class StepArrays:
+    """A ChainStep at every row of a state array.  lhs, rhs and slack hold
+    the step's values where it is applicable, and passed is slack >= -INEQ_TOL."""
+
+    name: str
+    applicable: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
+
+
+def _checked_over(name: str, applicable: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> StepArrays:
+    slack = rhs - lhs
+    return StepArrays(name, applicable, lhs, rhs, slack, slack >= -INEQ_TOL)
+
+
+def verify_drift_chain_over(spec: ModelSpec, policy: PolicyConfig, X: np.ndarray,
+                            cap: int | None = None) -> tuple[StepArrays, ...]:
+    """verify_drift_chain at every row of X, with the same gates and
+    bit-identical lhs and rhs.
+
+    The thresholded, self-loop-stripped and reduced states only zero
+    coordinates, so they lie in the same box as X; the reduction is
+    reduce_to_independent_support's one-pass local maximum on (x, alpha).
+    The four homogenized drifts are one drift_q_over call.
+    """
+    graph = root_graph(spec)
+    stab = stability(spec)
+    X = np.asarray(X)
+    n = len(X)
+    ns = policy.n_star
+    loops = sorted(graph.selfloop_classes)
+    adjacency = np.asarray(graph.adjacency, dtype=bool)
+    alpha = np.asarray(policy.alpha)
+    held = X > 0
+    counts_ok = np.all(~held | (X >= ns), axis=1)
+    loopfree_ok = ~held[:, loops].any(axis=1)
+    indep_ok = ~(held[:, :, None] & held[:, None, :] & adjacency).any(axis=(1, 2))
+    bin_ok = loopfree_ok & indep_ok
+
+    thresholded = np.where(X >= ns, X, 0)
+    stripped = X.copy()
+    stripped[:, loops] = 0
+    xi, xj = X[:, :, None], X[:, None, :]
+    beaten = (xj > xi) | ((xj == xi) & (alpha[None, :] > alpha[:, None]))  # [r, i, j]: key j > key i
+    reduced = np.where((beaten & adjacency).any(axis=2), 0, X)
+
+    d_raw = drift_q_over(spec, policy, "raw", X, cap=cap)
+    d_hom_thr, d_hom, d_hom_stripped, d_hom_reduced = drift_q_over(
+        spec, policy, "homogenized", np.concatenate([thresholded, X, stripped, reduced]),
+        cap=cap).reshape(4, n)
+    d_bin = drift_q_over(spec, policy, "binarized", X, cap=cap)
+    norm = X.max(axis=1)
+    with np.errstate(invalid="ignore"):  # eta = inf at norm 0, where 1.0 is taken
+        margin = np.where(norm == 0, 1.0, 1.0 - 2.0 * stab.eta * norm)
+    return (
+        _checked_over("threshold", np.ones(n, dtype=bool), d_raw, d_hom_thr + 2.0 * ns),
+        _checked_over("selfloops", counts_ok, d_hom,
+                      d_hom_stripped + 4.0 * graph.K * len(loops) - _selfloop_sum(spec, X)),
+        _checked_over("independent", loopfree_ok & counts_ok, d_hom, d_hom_reduced + 2.0 * graph.K),
+        _checked_over("certain_match", bin_ok & counts_ok, d_hom, d_bin + 2.0 * graph.K),
+        _checked_over("margin", bin_ok & stab.ncond, d_bin, margin),
+    )
+
+
 def transition_table(spec: ModelSpec, policy: PolicyConfig,
                      cap: int) -> tuple[np.ndarray, sp.csr_matrix]:
     """The raw kernel on the states of the box {0..cap}^C reachable from the
@@ -349,10 +500,10 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
     CSR keeps the positive entries of val, and P is the box restricted to
     the states reached from the origin.
 
-    Each entry is bit-identical to transition_row's: the weights and miss
-    probabilities come from the scalar weight and pow_int, decrements to
-    the same class accumulate over ascending arrival classes, and the fold
-    sums increments over descending classes (the order of the sorted row).
+    Each entry is bit-identical to transition_row's: the moves are
+    box_moves', decrements to the same class accumulate over ascending
+    arrival classes, and the fold sums increments over descending classes
+    (the order of the sorted row).
     """
     if cap < 0:
         raise KernelError("cap must be non-negative")
@@ -363,29 +514,17 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
     import scipy.sparse as sp
     from scipy.sparse.csgraph import breadth_first_order
 
-    rho = spec.rho
-    weight = np.asarray([[[float(policy.weight(k, rho[i][j])) for k in range(side)]
-                          for j in range(C)] for i in range(C)])
-    miss = np.asarray([[[pow_int(1.0 - rho[i][j], k) for k in range(side)]
-                        for j in range(C)] for i in range(C)])
-    alpha = np.asarray(policy.alpha)
-
     X = np.indices((side,) * C).reshape(C, -1).T  # C order = sorted tuples
     N = X.shape[0]
     rows = np.arange(N)
-    cols = np.arange(C)
     stride = side ** np.arange(C - 1, -1, -1)
     offsets = np.concatenate([-stride, [0], stride[::-1]])
     val = np.zeros((N, 2 * C + 1))
     p_yes = val[:, :C]  # a view of val, merged per target class
     p_no = val[:, :C:-1]  # a view of val, per arrival class i in column 2C - i
-    for i in range(C):
-        w = weight[i, cols, X]
-        tied = w >= w.max(axis=1, keepdims=True) - WEIGHT_TOL
-        j = np.argmax(np.where(tied, alpha, -1), axis=1)
-        m = miss[i, j, X[rows, j]]
-        p_yes[rows, j] += spec.nu[i] * (1.0 - m)
-        p_no[:, i] = spec.nu[i] * m
+    for i, j, yes, no in box_moves(spec, policy, spec.rho, X, cap):
+        p_yes[rows, j] += yes
+        p_no[:, i] = no
     at_cap = X == cap
     for i in range(C - 1, -1, -1):
         val[:, C] += np.where(at_cap[:, i], p_no[:, i], 0.0)

@@ -5,7 +5,6 @@ summary section of `pytest -rA`) and fails loudly on any violation.  Runtime
 budgets are asserted where a guarantee includes one.
 """
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from scipy import stats
 
 from sbmatch import (
     check_assumption,
-    check_main_drift,
     final_states,
     invariant_mean_bound,
     make_policy,
@@ -29,8 +27,9 @@ from sbmatch import (
     transition_row,
     truncate,
     tv_periodic,
-    verify_drift_chain,
 )
+from sbmatch.cli import _ball as ball_chunks
+from sbmatch.kernel import INEQ_TOL, drift_q_over, theorem_bound_over, verify_drift_chain_over
 from sbmatch.policy import W1, W2
 
 from conftest import enumerate_exact_distribution, random_model, random_state
@@ -45,10 +44,6 @@ def bundled():
     return (("triangle", scenarios.triangle()),
             ("mixed", scenarios.mixed_selfloop()),
             ("solo", scenarios.single_selfloop()))
-
-
-def ball(n_classes: int, radius: int):
-    return itertools.product(range(radius + 1), repeat=n_classes)
 
 
 def chi_square_ok(observed_counts, expected_probs, n, significance=1e-3):
@@ -105,15 +100,17 @@ def test_criterion_1_kernel_rows_are_unit_steps():
 
 
 def test_criterion_2_drift_bound_sweep():
+    # the drift verb's array pass, chunk by chunk (its agreement with
+    # check_main_drift is test_kernel.py's oracle test)
     t0 = time.monotonic()
     checked = 0
     bad = 0
     for _, spec in bundled():
         pol = make_policy(spec)
-        for x in ball(spec.n_classes, 20):
-            checked += 1
-            if not check_main_drift(spec, pol, x).passed:
-                bad += 1
+        for X in ball_chunks(spec.n_classes, 20):
+            slack = theorem_bound_over(spec, pol, X) - drift_q_over(spec, pol, "raw", X, cap=20)
+            checked += len(X)
+            bad += int(np.count_nonzero(~(slack >= -INEQ_TOL)))
     elapsed = time.monotonic() - t0
     report(2, bad == 0 and elapsed < 60.0,
            f"drift certificate on {checked} states (three scenarios, "
@@ -121,17 +118,17 @@ def test_criterion_2_drift_bound_sweep():
 
 
 def test_criterion_3_inequality_chain_sweep():
+    # the appendix verb's array pass, chunk by chunk (its agreement with
+    # verify_drift_chain is test_kernel.py's oracle test)
     t0 = time.monotonic()
     applicable = 0
     bad = 0
     for _, spec in bundled():
         pol = make_policy(spec)
-        for x in ball(spec.n_classes, 15):
-            for st in verify_drift_chain(spec, pol, x).steps:
-                if st.applicable:
-                    applicable += 1
-                    if not st.passed:
-                        bad += 1
+        for X in ball_chunks(spec.n_classes, 15):
+            for st in verify_drift_chain_over(spec, pol, X, cap=15):
+                applicable += int(np.count_nonzero(st.applicable))
+                bad += int(np.count_nonzero(st.applicable & ~st.passed))
     elapsed = time.monotonic() - t0
     report(3, bad == 0 and elapsed < 120.0,
            f"{applicable} applicable chain inequalities (sup norm <= 15), "

@@ -23,6 +23,7 @@ MIXED_W2 = {
                       [0.5, 0.3, 0.0, 0.0], [0.0, 0.0, 0.0, 0.7]]},
     "policy": {"weight": "w2"},
 }
+MIXED_W1 = {**MIXED_W2, "policy": {"weight": "w1"}}
 
 
 def wide(n_triangles):
@@ -58,6 +59,28 @@ GOLDEN = {
         TRIANGLE_W2, ["--max-norm", "6", "drift", "--corrupt-kernel"], 1,
         "b2fa233c43e7574beaf319eb75a0ea4d48303f7ca723452fe72f1e0be2796a41",
         "2669f0761e978923a4097850569a8f01cf3790a4e2326129ff693d159257a040"),
+    # Balls of 2,197 and 4,096 states: several sweep chunks, the last one partial.
+    "appendix/triangle-w2-r12": (
+        TRIANGLE_W2, ["--max-norm", "12", "appendix"], 0,
+        "b0263fdb4f6ebbf54d6ca7a11e008895279f69d49f8a1ac5b513e6676dab996b",
+        "a17dfcb8624e156293cce3804bbb14593feefc20ff253aa1b3ac91b60cf00d81"),
+    "drift/mixed-w1-r7": (
+        MIXED_W1, ["--max-norm", "7", "drift"], 0,
+        "1e6c507d575b68f69334a12cf8a2c0626f52591317763b938102b8f8ef6948d2",
+        "a68e26f32f612d961aedd052032d3667ecf7e27f1024a79283ac545beb6f7daa"),
+    # The one-state ball {0}^C.
+    "drift/mixed-w2-r0": (
+        MIXED_W2, ["--max-norm", "0", "drift"], 0,
+        "7e09e472cc963f044a5d6451f7f88cba6922cd8648a62895603f83a2eef0d277",
+        "2eb34e363e9bd3fb2a6a0080ce9a331df13c15c66526eaa57b65356d80f297fc"),
+    "drift/triangle-w2-corrupt-r0": (
+        TRIANGLE_W2, ["--max-norm", "0", "drift", "--corrupt-kernel"], 0,
+        "6499099fc407ccc049fbabf6dbf2b689890e9268f9020f23d3a41037e0d0b39c",
+        "2eb34e363e9bd3fb2a6a0080ce9a331df13c15c66526eaa57b65356d80f297fc"),
+    "appendix/mixed-w2-r0": (
+        MIXED_W2, ["--max-norm", "0", "appendix"], 0,
+        "d703654a0d826a258d92a101b760499a51d69a2013ba3f8fc2cfb54f4f300c32",
+        "fffd4450b47a6760bb6b7f02a7cf5f508dc3434cc9aaabe75df6799e9973264a"),
 }
 
 

@@ -19,12 +19,15 @@ SCIPY_FREE_VERBS = """
 import json, os, sys
 import sbmatch, sbmatch.cli
 workdir, cfg = sys.argv[1], os.path.join(sys.argv[1], "cfg.json")
-runs = [["ncond"], ["--max-norm", "3", "drift"], ["--max-norm", "3", "appendix"],
-        ["--seed", "1", "simulate"], ["--seed", "1", "sweep"]]
-for argv in runs:
-    out = os.path.join(workdir, argv[-1] + ".out")
+# (arguments, exit code); the negative control's sweep fails by design from
+# radius 5 on (at radius 3 it still passes on this model)
+runs = [(["ncond"], 0), (["--max-norm", "3", "drift"], 0), (["--max-norm", "3", "appendix"], 0),
+        (["--max-norm", "6", "drift", "--corrupt-kernel"], 1),
+        (["--seed", "1", "simulate"], 0), (["--seed", "1", "sweep"], 0)]
+for k, (argv, expected) in enumerate(runs):
+    out = os.path.join(workdir, f"{k}.out")
     code = sbmatch.cli.main(["--config", cfg, "--out", out, *argv])
-    assert code == 0, (argv, code)
+    assert code == expected, (argv, code)
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 

@@ -30,7 +30,9 @@ from sbmatch import (
     verify_drift_chain,
 )
 from sbmatch import scenarios
-from sbmatch.kernel import INEQ_TOL, pow_int, transition_table
+from sbmatch.kernel import (INEQ_TOL, drift_q_over, pow_int, theorem_bound_over, transition_table,
+                            verify_drift_chain_over)
+from sbmatch.model import root_graph, stability
 
 from conftest import (random_model, random_state, scalar_corrupted_drift,
                       scalar_propagate_distribution, scalar_reduce_to_independent_support)
@@ -169,6 +171,56 @@ def test_corrupted_drift_matches_scalar_oracle(name, weight, radius, failing):
         assert verdict == (bound - oracle >= -INEQ_TOL)
         failed += not verdict
     assert failed == failing
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def assert_ball_pass_matches(spec, pol, X):
+    """The array pass over the rows of X against the scalar functions, bit for bit."""
+    X = np.asarray(X)
+    states = X.tolist()
+    for variant in ("raw", "homogenized", "binarized"):
+        assert np.array_equal(bits(drift_q_over(spec, pol, variant, X)),
+                              bits([drift_q(spec, pol, variant, x) for x in states])), variant
+    assert np.array_equal(bits(drift_q_over(spec, pol, "raw", X, match=1)),
+                          bits([corrupted_drift_q(spec, pol, x) for x in states]))
+    if stability(spec).ncond:
+        assert np.array_equal(bits(theorem_bound_over(spec, pol, X)),
+                              bits([theorem_bound(spec, pol, x) for x in states]))
+    steps = verify_drift_chain_over(spec, pol, X)
+    for k, x in enumerate(states):
+        for st, arr in zip(verify_drift_chain(spec, pol, x).steps, steps, strict=True):
+            assert (arr.name, bool(arr.applicable[k])) == (st.name, st.applicable), x
+            if st.applicable:
+                assert np.array_equal(bits([arr.lhs[k], arr.rhs[k]]), bits([st.lhs, st.rhs])), (x, st)
+                assert bool(arr.passed[k]) == st.passed, (x, st)
+
+
+@pytest.mark.parametrize("name", ["triangle", "mixed_selfloop", "single_selfloop", "path3", "random"])
+def test_ball_pass_matches_the_scalar_oracle(name):
+    if name != "random":
+        # every state of {0..6}^C, under both weights and two tie-break orders
+        spec = getattr(scenarios, name)()
+        ball = list(itertools.product(range(7), repeat=spec.n_classes))
+        for weight in (W1, W2):
+            for alpha in (None, tuple(range(spec.n_classes, 0, -1))):
+                assert_ball_pass_matches(spec, make_policy(spec, weight, alpha=alpha), ball)
+        return
+    # 2,000 states over 200 random models; the self-loop sums run over sets of
+    # two or more classes in many of them
+    rng = np.random.default_rng(13)
+    several_loops = 0
+    for k in range(200):
+        spec = random_model(rng, max_classes=5)
+        alpha = tuple(int(a) + 1 for a in rng.permutation(spec.n_classes))
+        pol = make_policy(spec, (W1, W2)[k % 2], alpha=alpha)
+        high = max(12, 2 * pol.n_star + 4)
+        assert_ball_pass_matches(spec, pol, [random_state(rng, spec.n_classes, high)
+                                             for _ in range(10)])
+        several_loops += len(root_graph(spec).selfloop_classes) >= 2
+    assert several_loops >= 50
 
 
 def test_threshold_map_examples():

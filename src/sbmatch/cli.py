@@ -322,8 +322,9 @@ def cmd_drift(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     seen = Counter()
 
     def chunks():
+        tables = kernel.move_tables(spec, policy, "raw", args.max_norm)
         for X in ball:
-            d = kernel.drift_q_over(spec, policy, "raw", X, match=match, cap=args.max_norm)
+            d = kernel.drift_q_over(spec, policy, tables, X, match=match)
             b = kernel.theorem_bound_over(spec, policy, X)
             slack = b - d
             passed = slack >= -kernel.INEQ_TOL
@@ -356,8 +357,9 @@ def cmd_appendix(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
         return (checked % v if app else skipped for app, v in zip(st.applicable.tolist(), values))
 
     def chunks():
+        tables = kernel.chain_tables(spec, policy, args.max_norm)
         for X in ball:
-            steps = kernel.verify_drift_chain_over(spec, policy, X, cap=args.max_norm)
+            steps = kernel.verify_drift_chain_over(spec, policy, tables, X)
             for st in steps:
                 seen["applicable"] += int(np.count_nonzero(st.applicable))
                 seen["fail"] += int(np.count_nonzero(st.applicable & ~st.passed))

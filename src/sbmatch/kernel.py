@@ -13,11 +13,11 @@ eta is positive.  verify_drift_chain checks the individual reduction
 inequalities that compose the certificate, each under its own hypothesis on
 the state.
 
-box_moves is the per-arrival-class pass over an (n, C) array of states.
-transition_table folds it into the truncated kernel, and drift_q_over,
-theorem_bound_over and verify_drift_chain_over sum it into the certificate
-sweeps, bit for bit as the scalar functions of one state, which stay as
-their oracles.
+box_moves is the per-arrival-class pass over an (n, C) array of states,
+read from the weight and miss tables of move_tables.  transition_table folds
+it into the truncated kernel, and drift_q_over, theorem_bound_over and
+verify_drift_chain_over sum it into the certificate sweeps, bit for bit as
+the scalar functions of one state, which stay as their oracles.
 """
 
 from __future__ import annotations
@@ -338,35 +338,40 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
 BOX_MAX_STATES = 2_000_000
 
 
-# Holds the tables of the three kernel variants of one appendix sweep.
-@lru_cache(maxsize=4)
-def _move_tables(weight, rho, side: int) -> tuple[np.ndarray, np.ndarray]:
-    """w(k, rho[i][j]) and (1 - rho[i][j]) ** k at [i, j, k] for k < side, from
-    the scalar weight and pow_int, so that they equal select_class's and
-    _arrival_moves' values.  Read-only: every caller shares them."""
-    C = len(rho)
-    weights = np.asarray([[[float(weight.fn(k, rho[i][j])) for k in range(side)]
+def move_tables(spec: ModelSpec, policy: PolicyConfig, variant: str,
+                cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """w(k, rho[i][j]) and (1 - rho[i][j]) ** k at [i, j, k] for the variant's
+    rho and the counts k = 0..cap, from the scalar weight and pow_int, so that
+    they equal select_class's and _arrival_moves' values.  They hold
+    2 C^2 (cap + 1) floats: a sweep builds them once and drops them at its end."""
+    rho = kernel_variant(spec, variant)
+    C, side = spec.n_classes, cap + 1
+    weights = np.asarray([[[float(policy.weight.fn(k, rho[i][j])) for k in range(side)]
                            for j in range(C)] for i in range(C)])
     miss = np.asarray([[[pow_int(1.0 - rho[i][j], k) for k in range(side)]
                         for j in range(C)] for i in range(C)])
-    weights.flags.writeable = miss.flags.writeable = False
     return weights, miss
 
 
-def box_moves(spec: ModelSpec, policy: PolicyConfig, rho, X: np.ndarray, cap: int | None = None):
+def chain_tables(spec: ModelSpec, policy: PolicyConfig,
+                 cap: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """move_tables of the three variants that verify_drift_chain_over reads."""
+    return {v: move_tables(spec, policy, v, cap) for v in ("raw", "homogenized", "binarized")}
+
+
+def box_moves(spec: ModelSpec, policy: PolicyConfig, tables, X: np.ndarray):
     """_arrival_moves over the rows of the (n, C) state array X: per arrival
     class i in ascending order, (i, j, p_yes, p_no) with the target class j,
     the match probability and the store probability as arrays over the rows.
 
-    The weights and miss probabilities are looked up in tables over the counts
-    0..cap (cap defaults to the largest count in X), built once per (weight,
-    rho, cap); ties are broken by select_class's rule, weights within
-    WEIGHT_TOL of the maximum tied and the largest alpha winning.  So every
-    entry is bit-identical to _arrival_moves' at the same state.
+    The weights and miss probabilities are looked up in tables, the
+    move_tables of one variant over counts up to at least X's; ties are broken
+    by select_class's rule, weights within WEIGHT_TOL of the maximum tied and
+    the largest alpha winning.  So every entry is bit-identical to
+    _arrival_moves' at the same state.
     """
+    weight, miss = tables
     X = np.asarray(X)
-    side = (int(X.max(initial=0)) if cap is None else cap) + 1
-    weight, miss = _move_tables(policy.weight, rho, side)
     alpha = np.asarray(policy.alpha)
     rows, cols = np.arange(len(X)), np.arange(spec.n_classes)
     for i in range(spec.n_classes):
@@ -377,15 +382,16 @@ def box_moves(spec: ModelSpec, policy: PolicyConfig, rho, X: np.ndarray, cap: in
         yield i, j, spec.nu[i] * (1.0 - m), spec.nu[i] * m
 
 
-def drift_q_over(spec: ModelSpec, policy: PolicyConfig, variant, X: np.ndarray,
-                 match: int = -1, cap: int | None = None) -> np.ndarray:
-    """_q_drift at every row of X: drift_q for match = -1 and
-    corrupted_drift_q for match = +1 (with variant "raw"), summed over
-    ascending arrival classes as the scalar loop sums, so bit-identical."""
+def drift_q_over(spec: ModelSpec, policy: PolicyConfig, tables, X: np.ndarray,
+                 match: int = -1) -> np.ndarray:
+    """_q_drift at every row of X under the variant of tables: drift_q for
+    match = -1 and corrupted_drift_q for match = +1 (with the raw tables),
+    summed over ascending arrival classes as the scalar loop sums, so
+    bit-identical."""
     X = np.asarray(X)
     rows = np.arange(len(X))
     total = np.zeros(len(X))
-    for i, j, p_yes, p_no in box_moves(spec, policy, kernel_variant(spec, variant), X, cap):
+    for i, j, p_yes, p_no in box_moves(spec, policy, tables, X):
         total = total + (p_no * (2 * X[:, i] + 1) + p_yes * (1 + 2 * match * X[rows, j]))
     return total
 
@@ -434,10 +440,11 @@ def _checked_over(name: str, applicable: np.ndarray, lhs: np.ndarray, rhs: np.nd
     return StepArrays(name, applicable, lhs, rhs, slack, slack >= -INEQ_TOL)
 
 
-def verify_drift_chain_over(spec: ModelSpec, policy: PolicyConfig, X: np.ndarray,
-                            cap: int | None = None) -> tuple[StepArrays, ...]:
+def verify_drift_chain_over(spec: ModelSpec, policy: PolicyConfig, tables,
+                            X: np.ndarray) -> tuple[StepArrays, ...]:
     """verify_drift_chain at every row of X, with the same gates and
-    bit-identical lhs and rhs.
+    bit-identical lhs and rhs; tables is chain_tables over counts up to at
+    least X's.
 
     The thresholded, self-loop-stripped and reduced states only zero
     coordinates, so they lie in the same box as X; the reduction is
@@ -465,11 +472,11 @@ def verify_drift_chain_over(spec: ModelSpec, policy: PolicyConfig, X: np.ndarray
     beaten = (xj > xi) | ((xj == xi) & (alpha[None, :] > alpha[:, None]))  # [r, i, j]: key j > key i
     reduced = np.where((beaten & adjacency).any(axis=2), 0, X)
 
-    d_raw = drift_q_over(spec, policy, "raw", X, cap=cap)
+    d_raw = drift_q_over(spec, policy, tables["raw"], X)
     d_hom_thr, d_hom, d_hom_stripped, d_hom_reduced = drift_q_over(
-        spec, policy, "homogenized", np.concatenate([thresholded, X, stripped, reduced]),
-        cap=cap).reshape(4, n)
-    d_bin = drift_q_over(spec, policy, "binarized", X, cap=cap)
+        spec, policy, tables["homogenized"],
+        np.concatenate([thresholded, X, stripped, reduced])).reshape(4, n)
+    d_bin = drift_q_over(spec, policy, tables["binarized"], X)
     norm = X.max(axis=1)
     with np.errstate(invalid="ignore"):  # eta = inf at norm 0, where 1.0 is taken
         margin = np.where(norm == 0, 1.0, 1.0 - 2.0 * stab.eta * norm)
@@ -522,7 +529,7 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
     val = np.zeros((N, 2 * C + 1))
     p_yes = val[:, :C]  # a view of val, merged per target class
     p_no = val[:, :C:-1]  # a view of val, per arrival class i in column 2C - i
-    for i, j, yes, no in box_moves(spec, policy, spec.rho, X, cap):
+    for i, j, yes, no in box_moves(spec, policy, move_tables(spec, policy, "raw", cap), X):
         p_yes[rows, j] += yes
         p_no[:, i] = no
     at_cap = X == cap

@@ -145,14 +145,12 @@ class SimState:
         self.t = self.matched_pairs = self.returns_to_zero = 0
         self.cum_norm = 0.0
         self.first_return: int | None = None
-        # step's (spec, policy, cumulative nu, choice), kept to skip the caches
-        self.stepper: tuple | None = None
 
     def refill(self, buf: list[int], r: float) -> None:
         buf.extend(self.rng.geometric(r, size=GEOM_BLOCK)[::-1].tolist())
 
-    def advance(self, choice: _Choice, arrivals: Sequence[int], sample_at: Sequence[int] = (),
-                code: int | None = None) -> list[tuple[list[int], int, float]]:
+    def advance(self, choice: _Choice, arrivals: Sequence[int],
+                sample_at: Sequence[int] = ()) -> list[tuple[list[int], int, float]]:
         """Serve the given arrivals one by one.  The arrival of class c
         targets class j = choice(c, x) and probes its x[j] unmatched nodes;
         the first geometric trial at or below x[j] matches one of them,
@@ -160,15 +158,13 @@ class SimState:
 
         Returns (x, matched_pairs, cum_norm) as they stand after each
         arrival whose time t is in sample_at, an ascending list of times
-        past the current one.  code is choice.code(x), when the caller has it.
+        past the current one.
         """
         _check_path_length(self.t + len(arrivals))
         x, buffers, rho, units = self.x, self.buffers, self.rho, choice.units
         memo, miss = choice.memo, choice.miss
         t, matched, cum_norm = self.t, self.matched_pairs, self.cum_norm
-        if code is None:
-            code = choice.code(x)  # the key of (0, x)
-        top = max(x)
+        code, top = choice.code(x), max(x)  # the key of (0, x) and max(x)
         times = iter(sample_at)
         due = next(times, 0)
         samples = []
@@ -228,25 +224,18 @@ def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
     pops for this arrival, capped at x(j); or x(j) when rho(c, j) = 0
     (probing a class with no edges burns all its nodes).
     """
-    stepper = sim.stepper
-    if stepper is None or stepper[0] is not spec or stepper[1] is not policy:
-        stepper = sim.stepper = (spec, policy, _cumulative_nu(spec), _shared_choice(spec, policy))
-    cum, choice = stepper[2], stepper[3]
     # _draw_arrivals(spec, 1, rng) on the same stream, without the arrays
-    c = min(bisect_right(cum, sim.rng.random()), len(cum) - 1)
-    x = sim.x
-    code = choice.code(x)
-    j = choice.memo.get(code + c)  # _Choice.__call__, on the code advance reuses
-    if j is None:
-        j = choice.miss(code + c, c, x)
-    xj, buf = x[j], sim.buffers[c][j]
+    c = min(bisect_right(_cumulative_nu(spec), sim.rng.random()), spec.n_classes - 1)
+    choice = _shared_choice(spec, policy)
+    j = choice(c, sim.x)
+    xj, buf = sim.x[j], sim.buffers[c][j]
     trials = xj
     if xj and buf is not None:
         if not buf:
             sim.refill(buf, sim.rho[c][j])
         trials = min(buf[-1], xj)
     matched = sim.matched_pairs
-    sim.advance(choice, (c,), code=code)
+    sim.advance(choice, (c,))
     return StepEvent(t=sim.t, arrival=c, chosen=j, matched=sim.matched_pairs > matched,
                      trials=trials)
 

@@ -29,7 +29,8 @@ from sbmatch import (
     tv_periodic,
 )
 from sbmatch.cli import _ball as ball_chunks
-from sbmatch.kernel import INEQ_TOL, drift_q_over, theorem_bound_over, verify_drift_chain_over
+from sbmatch.kernel import (INEQ_TOL, chain_tables, drift_q_over, move_tables, theorem_bound_over,
+                            verify_drift_chain_over)
 from sbmatch.policy import W1, W2
 
 from conftest import enumerate_exact_distribution, random_model, random_state
@@ -107,8 +108,9 @@ def test_criterion_2_drift_bound_sweep():
     bad = 0
     for _, spec in bundled():
         pol = make_policy(spec)
+        tables = move_tables(spec, pol, "raw", 20)
         for X in ball_chunks(spec.n_classes, 20):
-            slack = theorem_bound_over(spec, pol, X) - drift_q_over(spec, pol, "raw", X, cap=20)
+            slack = theorem_bound_over(spec, pol, X) - drift_q_over(spec, pol, tables, X)
             checked += len(X)
             bad += int(np.count_nonzero(~(slack >= -INEQ_TOL)))
     elapsed = time.monotonic() - t0
@@ -125,8 +127,9 @@ def test_criterion_3_inequality_chain_sweep():
     bad = 0
     for _, spec in bundled():
         pol = make_policy(spec)
+        tables = chain_tables(spec, pol, 15)
         for X in ball_chunks(spec.n_classes, 15):
-            for st in verify_drift_chain_over(spec, pol, X, cap=15):
+            for st in verify_drift_chain_over(spec, pol, tables, X):
                 applicable += int(np.count_nonzero(st.applicable))
                 bad += int(np.count_nonzero(st.applicable & ~st.passed))
     elapsed = time.monotonic() - t0

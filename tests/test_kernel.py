@@ -30,8 +30,8 @@ from sbmatch import (
     verify_drift_chain,
 )
 from sbmatch import scenarios
-from sbmatch.kernel import (INEQ_TOL, drift_q_over, pow_int, theorem_bound_over, transition_table,
-                            verify_drift_chain_over)
+from sbmatch.kernel import (INEQ_TOL, chain_tables, drift_q_over, pow_int, theorem_bound_over,
+                            transition_table, verify_drift_chain_over)
 from sbmatch.model import root_graph, stability
 
 from conftest import (random_model, random_state, scalar_corrupted_drift,
@@ -181,15 +181,16 @@ def assert_ball_pass_matches(spec, pol, X):
     """The array pass over the rows of X against the scalar functions, bit for bit."""
     X = np.asarray(X)
     states = X.tolist()
+    tables = chain_tables(spec, pol, int(X.max()))
     for variant in ("raw", "homogenized", "binarized"):
-        assert np.array_equal(bits(drift_q_over(spec, pol, variant, X)),
+        assert np.array_equal(bits(drift_q_over(spec, pol, tables[variant], X)),
                               bits([drift_q(spec, pol, variant, x) for x in states])), variant
-    assert np.array_equal(bits(drift_q_over(spec, pol, "raw", X, match=1)),
+    assert np.array_equal(bits(drift_q_over(spec, pol, tables["raw"], X, match=1)),
                           bits([corrupted_drift_q(spec, pol, x) for x in states]))
     if stability(spec).ncond:
         assert np.array_equal(bits(theorem_bound_over(spec, pol, X)),
                               bits([theorem_bound(spec, pol, x) for x in states]))
-    steps = verify_drift_chain_over(spec, pol, X)
+    steps = verify_drift_chain_over(spec, pol, tables, X)
     for k, x in enumerate(states):
         for st, arr in zip(verify_drift_chain(spec, pol, x).steps, steps, strict=True):
             assert (arr.name, bool(arr.applicable[k])) == (st.name, st.applicable), x

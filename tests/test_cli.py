@@ -2,16 +2,20 @@
 
 import csv
 import gc
+import io
 import json
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from dataclasses import astuple, fields
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sbmatch import analyze, simulate
 from sbmatch.cli import ConfigError, load_config, main
+from sbmatch.policy import make_policy
 
 
 def triangle_cfg():
@@ -455,3 +459,89 @@ def test_drift_at_small_rates_under_w2(tmp_path, capsys, rho, code):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+
+
+def fmt_cell(v) -> str:
+    """The cell rule of the verbs' CSV bodies: 1/0 for flags, str for ints
+    and text, 17 significant digits for floats."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return v
+    return "%.17g" % float(v)
+
+
+def oracle_csv(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+SOLO = {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}
+
+
+@pytest.mark.parametrize("run", [
+    {"T": 400, "replicas": 2, "sample_every": 100, "walk_set": ["a"]},
+    {"T": 3000, "replicas": 3},
+], ids=["walk-set", "default-grid"])
+def test_simulate_csv_matches_the_api(tmp_path, capsys, run):
+    doc = {**triangle_cfg(), "policy": {"weight": "w2", "alpha": ["b", "a", "c"]}, "run": run}
+    path, out = write_cfg(tmp_path, doc), tmp_path / "sim.csv"
+    assert main(["--config", path, "--out", str(out), "--seed", "5", "simulate"]) == 0
+    cfg = load_config(path)
+    spec = cfg.spec
+    walks = [cfg.run.walk_set] if cfg.run.walk_set is not None else []
+    trajs = simulate.run_replicas(spec, make_policy(spec, cfg.weight, alpha=cfg.alpha),
+                                  cfg.run.T, 5, cfg.run.replicas,
+                                  sample_every=cfg.run.sample_every, track_walks=walks)
+    header = ["replica", "t"] + [f"x_{c}" for c in spec.classes] \
+        + ["sup_norm", "matched_pairs", "perfect"] + ["walk_S"] * len(walks)
+    rows = [[rep, *row] for rep, tr in enumerate(trajs)
+            for row in zip(tr.t_grid.tolist(), *tr.x.T.tolist(), tr.sup_norm.tolist(),
+                           tr.matched_pairs.tolist(), tr.perfect.tolist(),
+                           *(tr.walks[frozenset(w)].tolist() for w in walks))]
+    assert out.read_bytes() == oracle_csv(header, rows)
+
+
+@pytest.mark.parametrize("model,policy,cap", [
+    (triangle_cfg()["model"], {"weight": "w2", "alpha": ["b", "a", "c"]}, 9),
+    (SOLO, {}, 200),
+], ids=["triangle-w2", "single-selfloop"])
+def test_stationary_csv_matches_the_api(tmp_path, capsys, model, policy, cap):
+    # 1,000 states on the triangle: several 320-state chunks, the last one partial
+    path = write_cfg(tmp_path, {"model": model, "policy": policy, "analyze": {"cap": cap}})
+    out = tmp_path / "pi.csv"
+    assert main(["--config", path, "--out", str(out), "stationary"]) == 0
+    cfg = load_config(path)
+    spec = cfg.spec
+    chain = analyze.truncate(spec, make_policy(spec, cfg.weight, alpha=cfg.alpha), cap)
+    pi = analyze.stationary(chain).pi
+    header = [f"x_{c}" for c in spec.classes] + ["pi"]
+    assert out.read_bytes() == oracle_csv(header, ([*x.tolist(), p]
+                                                   for x, p in zip(chain.states, pi)))
+
+
+@pytest.mark.parametrize("T", [1, 300])
+def test_sweep_csv_matches_the_api(tmp_path, capsys, T):
+    # ids that csv must quote, or must not; a model with only self-loop
+    # classes (eta = inf); at T = 1 no replica returns (mean_return_time nan)
+    bip = {"classes": ["one", "two"], "nu": ["3/5", "2/5"], "rho": [[0.0, 0.5], [0.5, 0.0]]}
+    loops = {"classes": ["p", "q"], "nu": ["1/2", "1/2"], "rho": [[0.4, 0.0], [0.0, 0.6]]}
+    models = [("a,b", triangle_cfg()["model"]), ('a"b', loops), ("a\nb", bip),
+              ("", SOLO), ("a\rb", bip), ("plain", loops)]
+    doc = {**triangle_cfg(), "policy": {"weight": "w2"},
+           "sweep": {"models": [{"id": i, "model": m} for i, m in models],
+                     "T": T, "replicas": 2}}
+    path, out = write_cfg(tmp_path, doc), tmp_path / "sweep.csv"
+    assert main(["--config", path, "--out", str(out), "--seed", "3", "sweep"]) == 0
+    cfg = load_config(path)
+    rows = analyze.eta_sweep(cfg.sweep_models, T, 3, 2, weight=cfg.weight)
+    assert {r.eta for r in rows[1::2]} == {float("inf")}
+    assert all(r.mean_return_time != r.mean_return_time for r in rows) == (T == 1)
+    assert out.read_bytes() == oracle_csv([f.name for f in fields(analyze.SweepRow)],
+                                          map(astuple, rows))

@@ -12,22 +12,24 @@ All output is deterministic: floats are printed with 17 significant digits,
 rows are sorted, and randomized verbs require an explicit seed (from the
 config or --seed; there is no clock fallback).  The exit status is 0 only
 when every asserted check passes, 1 when a check fails, and 2 on usage or
-configuration errors, on a sweep ball that is refused before it starts and
-on a stationary solve that misses its residual target.
+configuration errors, an --out that cannot be opened, a sweep ball refused
+before it starts and a stationary solve that misses its residual target.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -208,36 +210,18 @@ def load_config(path: str) -> ScenarioConfig:
     )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return v
-    return "%.17g" % float(v)
-
-
-@contextmanager
 def _output(path: str | None):
     if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    with _output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"error: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_chunks(path: str | None, header: list[str], chunks) -> None:
-    """The header through csv.writer, then each chunk, an iterable of rows
-    already formatted as _write_csv would write them, as it comes."""
+    """The header through csv.writer, then each chunk, an iterable of lines
+    from %-templates (config text through csv.writer), as it comes."""
     with _output(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for chunk in chunks:
@@ -273,9 +257,9 @@ def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-#: States per array pass of the drift and appendix sweeps; the rows of one
-#: chunk are formatted and written before the next chunk is built, so peak
-#: memory is set by this and not by the radius.
+#: States per array pass of the drift and appendix sweeps and per block of
+#: stationary rows; each chunk's rows are written before the next is built,
+#: so peak memory is set by this and not by the radius or the state count.
 SWEEP_CHUNK = 320
 
 
@@ -378,17 +362,16 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     walks = [cfg.run.walk_set] if cfg.run.walk_set is not None else []
     header = ["replica", "t"] + [f"x_{c}" for c in spec.classes] \
         + ["sup_norm", "matched_pairs", "perfect"] + ["walk_S"] * len(walks)
+    row = ",".join(["%d"] * len(header)) + "\n"
     trajs = simulate.run_replicas(spec, policy, cfg.run.T, base_seed, cfg.run.replicas,
                                   sample_every=cfg.run.sample_every, track_walks=walks)
 
-    def rows():
+    def chunks():
         for rep, tr in enumerate(trajs):
-            cols = [tr.t_grid, *tr.x.T, tr.sup_norm, tr.matched_pairs, tr.perfect,
-                    *(tr.walks[frozenset(w)] for w in walks)]
-            for row in zip(*(c.tolist() for c in cols)):
-                yield [rep, *row]
+            cols = [tr.t_grid, *tr.x.T, tr.sup_norm, tr.matched_pairs, tr.perfect, *tr.walks.values()]
+            yield map(row.__mod__, zip(itertools.repeat(rep), *(c.tolist() for c in cols)))
 
-    _write_csv(args.out, header, rows())
+    _write_chunks(args.out, header, chunks())
     return 0
 
 
@@ -400,7 +383,10 @@ def cmd_stationary(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     bound = analyze.invariant_mean_bound(spec, policy) if stability(spec).ncond else None
     bound_ok = (est.mean_sup_norm <= bound + 1e-9) if bound is not None else None
     header = [f"x_{c}" for c in spec.classes] + ["pi"]
-    _write_csv(args.out, header, ([*x.tolist(), p] for x, p in zip(chain.states, est.pi)))
+    row = "%d," * spec.n_classes + "%.17g\n"
+    blocks = (slice(k, k + SWEEP_CHUNK) for k in range(0, chain.n_states, SWEEP_CHUNK))
+    _write_chunks(args.out, header, (map(row.__mod__, zip(*chain.states[b].T.tolist(),
+                                                          est.pi[b].tolist())) for b in blocks))
     doc = {
         "n_states": chain.n_states,
         "cap": cfg.analyze.cap,
@@ -425,7 +411,13 @@ def cmd_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
         raise UsageError("sweep: config has no sweep.models")
     rows = analyze.eta_sweep(cfg.sweep_models, cfg.sweep_T, base_seed,
                              cfg.sweep_replicas, weight=cfg.weight)
-    _write_csv(args.out, [f.name for f in fields(analyze.SweepRow)], map(astuple, rows))
+
+    def line(r: analyze.SweepRow) -> str:
+        buf = io.StringIO()  # the id as csv.writer quotes it among other cells, with its ","
+        csv.writer(buf, lineterminator="\n").writerow([r.id, ""])
+        return buf.getvalue()[:-1] + "%.17g,%d,%.17g,%.17g,%.17g\n" % astuple(r)[1:]
+
+    _write_chunks(args.out, [f.name for f in fields(analyze.SweepRow)], [map(line, rows)])
     return 0
 
 
@@ -433,7 +425,9 @@ VERBS = {"ncond": cmd_ncond, "drift": cmd_drift, "appendix": cmd_appendix,
          "simulate": cmd_simulate, "stationary": cmd_stationary, "sweep": cmd_sweep}
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once: parse_args fills a new Namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="sbmatch",
                                      description="online matching on stochastic block models")
     parser.add_argument("--config", required=True, help="path to a JSON scenario config")
@@ -446,7 +440,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     verbs = {verb: sub.add_parser(verb) for verb in VERBS}
     verbs["drift"].add_argument("--corrupt-kernel", action="store_true",
                                 help="negative control: flip every matching step upward")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -5,11 +5,11 @@ import gc
 import io
 import json
 import tracemalloc
+from dataclasses import astuple, fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from dataclasses import astuple, fields
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -334,6 +334,26 @@ def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 200_000, peaks
+
+
+# Arguments a verb refuses before it opens --out.
+REFUSED_FIRST = {"drift": ["--max-norm", "-1"], "appendix": ["--max-norm", "-1"],
+                 "simulate": ["--seed", "-1"], "sweep": ["--seed", "-1"]}
+
+
+@pytest.mark.parametrize("verb", ["ncond", "drift", "appendix", "simulate", "stationary", "sweep"])
+def test_an_unwritable_out_exits_2(tmp_path, capsys, verb):
+    cfg = write_cfg(tmp_path, sweep_cfg())
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):  # no such folder; a folder
+        assert main(["--config", cfg, "--out", str(out), verb]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: "), captured.err
+        assert captured.err.count("\n") == 1
+    if verb in REFUSED_FIRST:
+        assert main(["--config", cfg, "--out", str(out), *REFUSED_FIRST[verb], verb]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write" not in err, err
 
 
 @pytest.mark.parametrize("section,key,value,match", [

@@ -84,11 +84,34 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_output(tmp_path, capsys, name):
+def check_golden(tmp_path, capsys, name):
     doc, args, code, out_digest, stdout_digest = GOLDEN[name]
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
     assert main(["--config", str(cfg), "--out", str(out), *args]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(tmp_path, capsys, name):
+    check_golden(tmp_path, capsys, name)
+
+
+def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process: neither --corrupt-kernel and
+    # --max-norm 6 nor a usage error may leave a trace in the next call, whose
+    # radius comes from the config
+    check_golden(tmp_path, capsys, "drift/triangle-w2-corrupt")
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), "drfit"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sbmatch") and "invalid choice: 'drfit'" in err
+    doc, args, code, out_digest, stdout_digest = GOLDEN["drift/mixed-w2"]
+    assert args == ["--max-norm", "3", "drift"]
+    cfg.write_text(json.dumps({**doc, "analyze": {"max_norm": 3}}))
+    assert main(["--config", str(cfg), "--out", str(out), "drift"]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest

@@ -343,15 +343,15 @@ REFUSED_FIRST = {"drift": ["--max-norm", "-1"], "appendix": ["--max-norm", "-1"]
 
 @pytest.mark.parametrize("verb", ["ncond", "drift", "appendix", "simulate", "stationary", "sweep"])
 def test_an_unwritable_out_exits_2(tmp_path, capsys, verb):
-    cfg = write_cfg(tmp_path, sweep_cfg())
-    for out in (tmp_path / "missing" / "out.csv", tmp_path):  # no such folder; a folder
+    cfg, missing = write_cfg(tmp_path, sweep_cfg()), tmp_path / "missing" / "out.csv"
+    for out in (missing, tmp_path):  # no such folder; a folder
         assert main(["--config", cfg, "--out", str(out), verb]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}: "), captured.err
         assert captured.err.count("\n") == 1
     if verb in REFUSED_FIRST:
-        assert main(["--config", cfg, "--out", str(out), *REFUSED_FIRST[verb], verb]) == 2
+        assert main(["--config", cfg, "--out", str(missing), *REFUSED_FIRST[verb], verb]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot write" not in err, err
 

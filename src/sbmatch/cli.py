@@ -240,7 +240,7 @@ def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
         "eta": "inf" if math.isinf(stab.eta) else stab.eta,
         "eta_exact": str(stab.eta_exact) if stab.eta_exact is not None else None,
         "ncond": stab.ncond,
-        "independent_sets": [_labels(spec, s) for s in stab.independent_sets],
+        "independent_sets": [],  # written below from templates
         "minimizer": _labels(spec, stab.minimizer) if stab.minimizer is not None else None,
         "walk": None,
     }
@@ -252,8 +252,17 @@ def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
             "sigma2": ws.sigma2,
             "c_bound": ws.c_bound,
         }
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    if stab.independent_sets:
+        # The listing as json.dumps(..., indent=2) writes it, without its
+        # pure-Python encoder.  The key cannot occur inside a string, where
+        # every quote is escaped.
+        label = ["\n      " + json.dumps(str(c)) for c in spec.classes]
+        listing = ",\n    ".join(["[" + ",".join(map(label.__getitem__, sorted(s))) + "\n    ]"
+                                   for s in stab.independent_sets])
+        text = text.replace('"independent_sets": []', f'"independent_sets": [\n    {listing}\n  ]', 1)
     with _output(args.out) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
     return 0
 
 
@@ -430,21 +439,23 @@ def _parser() -> argparse.ArgumentParser:
     """Built once: parse_args fills a new Namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="sbmatch",
                                      description="online matching on stochastic block models")
+    parser.add_argument("verb", choices=VERBS)
     parser.add_argument("--config", required=True, help="path to a JSON scenario config")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the base seed of randomized verbs")
     parser.add_argument("--max-norm", type=int, default=None,
                         help="sup-norm radius for drift and appendix sweeps")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = {verb: sub.add_parser(verb) for verb in VERBS}
-    verbs["drift"].add_argument("--corrupt-kernel", action="store_true",
-                                help="negative control: flip every matching step upward")
+    parser.add_argument("--corrupt-kernel", action="store_true",
+                        help="drift only, negative control: flip every matching step upward")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.corrupt_kernel and args.verb != "drift":
+        parser.error(f"--corrupt-kernel applies to drift only, not {args.verb}")
 
     try:
         cfg = load_config(args.config)

@@ -77,6 +77,20 @@ def pow_int(base: float, n: int) -> float:
     return result
 
 
+def _pow_int_over(base: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """pow_int elementwise over broadcast arrays of bases and counts n >= 0,
+    bit for bit: the bits of n, lowest first, multiply the product by the
+    base squared as many times as pow_int squares it, in pow_int's order."""
+    b = np.asarray(base, dtype=float)
+    n = np.asarray(n)
+    result = np.ones(np.broadcast_shapes(b.shape, n.shape))
+    while n.any():
+        result = np.where(n & 1, result * b, result)
+        n = n >> 1
+        b = b * b
+    return result
+
+
 @dataclass(frozen=True)
 class TransitionRow:
     """Non-zero one-step probabilities out of a single state."""
@@ -341,15 +355,14 @@ BOX_MAX_STATES = 2_000_000
 def move_tables(spec: ModelSpec, policy: PolicyConfig, variant: str,
                 cap: int) -> tuple[np.ndarray, np.ndarray]:
     """w(k, rho[i][j]) and (1 - rho[i][j]) ** k at [i, j, k] for the variant's
-    rho and the counts k = 0..cap, from the scalar weight and pow_int, so that
-    they equal select_class's and _arrival_moves' values.  They hold
+    rho and the counts k = 0..cap, from the scalar weight and _pow_int_over, so
+    that they equal select_class's and _arrival_moves' values.  They hold
     2 C^2 (cap + 1) floats: a sweep builds them once and drops them at its end."""
     rho = kernel_variant(spec, variant)
     C, side = spec.n_classes, cap + 1
     weights = np.asarray([[[float(policy.weight.fn(k, rho[i][j])) for k in range(side)]
                            for j in range(C)] for i in range(C)])
-    miss = np.asarray([[[pow_int(1.0 - rho[i][j], k) for k in range(side)]
-                        for j in range(C)] for i in range(C)])
+    miss = _pow_int_over(1.0 - np.asarray(rho, dtype=float)[:, :, None], np.arange(side))
     return weights, miss
 
 

@@ -188,33 +188,42 @@ def neighborhood(graph: RootGraph, subset: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _independent_sets(graph: RootGraph) -> tuple[tuple[frozenset[int], ...], list[tuple[int, int]]]:
-    """All non-empty independent sets in lexicographic order, as frozensets
-    and as (set, neighbourhood) bitmask pairs."""
+def _independent_sets(graph: RootGraph, units: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """All non-empty independent sets in lexicographic order, each as its
+    sorted members and its margin units(N(I)) - units(I), where units(S) sums
+    the units of the classes in S.  The depth-first search carries the
+    margin: adding class j to I adds the units of the classes that j brings
+    into the neighbourhood and subtracts units[j]."""
     n = graph.n_classes
     if n > ENUMERATION_CAP:
         raise InvalidModelError(f"independent-set enumeration capped at {ENUMERATION_CAP} classes, got {n}")
     nb = [sum(1 << j for j in range(n) if graph.adjacency[i][j]) for i in range(n)]
     free = [i for i in range(n) if not (nb[i] >> i) & 1]
+    bit_units = {1 << i: u for i, u in enumerate(units)}
 
-    masks: list[tuple[int, int]] = []
+    sets: list[tuple[tuple[int, ...], int]] = []
 
-    def extend(pos: int, mask: int, hood: int) -> None:
+    def extend(pos: int, mask: int, hood: int, members: tuple[int, ...], margin: int) -> None:
         for k in range(pos, len(free)):
             j = free[k]
             if nb[j] & mask:
                 continue
-            new = (mask | (1 << j), hood | nb[j])
-            masks.append(new)
-            extend(k + 1, *new)
+            added, grown = nb[j] & ~hood, margin - units[j]
+            while added:
+                low = added & -added
+                grown += bit_units[low]
+                added ^= low
+            grown_members = members + (j,)
+            sets.append((grown_members, grown))
+            extend(k + 1, mask | (1 << j), hood | nb[j], grown_members, grown)
 
-    extend(0, 0, 0)
-    sets = tuple(frozenset(i for i in range(n) if (m >> i) & 1) for m, _ in masks)
-    return sets, masks
+    extend(0, 0, 0, (), 0)
+    return sets
 
 
 def independent_sets(graph: RootGraph) -> tuple[frozenset[int], ...]:
-    return _independent_sets(graph)[0]
+    """All non-empty independent sets of the graph in lexicographic order."""
+    return tuple(frozenset(m) for m, _ in _independent_sets(graph, [0] * graph.n_classes))
 
 
 @lru_cache(maxsize=None)
@@ -226,33 +235,24 @@ def stability(spec: ModelSpec) -> StabilityReport:
     The margin is computed in fraction arithmetic: from nu_exact when the
     spec carries it, else from the decimal form of each float rate, so a
     critical model is never certified stable by float rounding.  eta is the
-    float of the exact margin eta_exact.
+    float of the exact margin eta_exact, and the minimizer is the first set,
+    in the order of independent_sets, that attains it.
     """
-    n = spec.n_classes
-    sets, masks = _independent_sets(root_graph(spec))
-    if not masks:
-        return StabilityReport(eta=math.inf, ncond=True, independent_sets=(),
-                               minimizer=None, eta_exact=None)
-
     exact = spec.nu_exact if spec.nu_exact is not None \
         else tuple(Fraction(str(v)) for v in spec.nu)
     # Margins are summed as integers in units of 1/den, the common denominator.
     den = math.lcm(*(v.denominator for v in exact))
-    units = [int(v * den) for v in exact]
+    found = _independent_sets(root_graph(spec), [int(v * den) for v in exact])
+    if not found:
+        return StabilityReport(eta=math.inf, ncond=True, independent_sets=(),
+                               minimizer=None, eta_exact=None)
 
-    def mass(mask: int) -> int:
-        return sum(units[i] for i in range(n) if (mask >> i) & 1)
-
-    best = None
-    best_idx = -1
-    for idx, (m, hood) in enumerate(masks):
-        margin = mass(hood) - mass(m)
-        if best is None or margin < best:
-            best, best_idx = margin, idx
-
+    sets = tuple(frozenset(m) for m, _ in found)
+    margins = [margin for _, margin in found]
+    best = min(margins)
     eta_exact = Fraction(best, den)
     return StabilityReport(eta=float(eta_exact), ncond=best > 0, independent_sets=sets,
-                           minimizer=sets[best_idx], eta_exact=eta_exact)
+                           minimizer=sets[margins.index(best)], eta_exact=eta_exact)
 
 
 def _std_normal_cdf(z: float) -> float:

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import ModelSpec, neighborhood, root_graph, walk_spec
-from .policy import PolicyConfig, State, select_class
+from .policy import W1, PolicyConfig, State, select_class
 
 # Most entries one memo of greedy choices, code of (c, x) -> class, may hold.
 CHOICE_MEMO_MAX = 1 << 16
@@ -97,21 +97,40 @@ class _Choice:
     c plus x(i) * units[i], where units[i] = 2**(KEY_BITS * (i + 1)).
 
     A miss calls select_class, so the tie rule (WEIGHT_TOL, then the largest
-    alpha) lives in one place.  The memo holds at most CHOICE_MEMO_MAX
-    entries; once it is full, further choices are computed and not stored.
+    alpha) lives in one place, except under W1.  There the weights are the
+    counts of the classes c can match, exact in a float, so the choice is
+    the integer argmax of x(j) (C + 1) + alpha(j) over those classes, and the
+    class with the largest alpha when all their counts are 0 and every
+    weight ties at 0.  The memo holds at most CHOICE_MEMO_MAX entries; once
+    it is full, further choices are computed and not stored.
     """
 
     def __init__(self, spec: ModelSpec, policy: PolicyConfig):
         self.memo: dict[int, int] = {}
         self.weight, self.alpha, self.rho = policy.weight, policy.alpha, spec.rho
         self.units = [1 << (KEY_BITS * (i + 1)) for i in range(spec.n_classes)]
+        # Under W1, the (class, alpha) pairs each arrival class can match.
+        self.matchable = [[(j, a) for j, (r, a) in enumerate(zip(row, policy.alpha)) if r > 0.0]
+                          for row in spec.rho] if policy.weight is W1 else None
+        self.scale = spec.n_classes + 1
+        self.top = policy.alpha.index(max(policy.alpha))
 
     def code(self, x: Sequence[int]) -> int:
         """The key of (0, x); the key of (c, x) is this plus c."""
         return sum(v * u for v, u in zip(x, self.units))
 
+    def w1_choice(self, c: int, x: Sequence[int]) -> int:
+        scale = self.scale
+        best, score = self.top, scale - 1  # alpha(j) alone never exceeds C = scale - 1
+        for j, a in self.matchable[c]:
+            s = x[j] * scale + a
+            if s > score:
+                best, score = j, s
+        return best
+
     def miss(self, key: int, c: int, x: Sequence[int]) -> int:
-        j = select_class(self.weight, self.alpha, x, self.rho[c])
+        j = select_class(self.weight, self.alpha, x, self.rho[c]) if self.matchable is None \
+            else self.w1_choice(c, x)
         if len(self.memo) < CHOICE_MEMO_MAX:
             self.memo[key] = j
         return j

@@ -4,18 +4,23 @@ import csv
 import gc
 import io
 import json
+import math
 import tracemalloc
 from dataclasses import astuple, fields
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sbmatch import analyze, simulate
 from sbmatch.cli import ConfigError, load_config, main
+from sbmatch.model import ENUMERATION_CAP, make_spec, stability, walk_spec
 from sbmatch.policy import make_policy
+
+from conftest import random_model
 
 
 def triangle_cfg():
@@ -95,6 +100,68 @@ def test_ncond_without_independent_sets(tmp_path):
     assert rep["minimizer"] is None and rep["walk"] is None
 
 
+def encoded_ncond(spec) -> str:
+    """The ncond report as json.dumps(doc, sort_keys=True, indent=2) writes
+    it, with the document built from the API."""
+    stab = stability(spec)
+
+    def labels(members):
+        return [str(spec.classes[i]) for i in sorted(members)]
+
+    doc = {
+        "classes": [str(c) for c in spec.classes],
+        "eta": "inf" if math.isinf(stab.eta) else stab.eta,
+        "eta_exact": str(stab.eta_exact) if stab.eta_exact is not None else None,
+        "ncond": stab.ncond,
+        "independent_sets": [labels(s) for s in stab.independent_sets],
+        "minimizer": labels(stab.minimizer) if stab.minimizer is not None else None,
+        "walk": None,
+    }
+    if stab.minimizer is not None:
+        ws = walk_spec(spec, stab.minimizer)
+        doc["walk"] = {"set": labels(ws.independent_set), "mu": ws.mu,
+                       "sigma2": ws.sigma2, "c_bound": ws.c_bound}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Labels with a quote, a backslash, non-ASCII text and numbers, which the
+# listing must quote as json.dumps does.
+ODD_LABELS = ['a"b', "c\\d", "\u00e9t\u00e9", "\u65e5\u672c", "tab\tnl\n", "", 7, 2.5, "x", "y"]
+
+
+def test_ncond_bytes_equal_the_encoders(tmp_path):
+    rng = np.random.default_rng(1515)
+    models = []
+    for k in range(40):
+        spec = random_model(rng, max_classes=8)
+        C = spec.n_classes
+        if k % 4 == 3:  # every class loops, so the listing is empty
+            spec = make_spec(spec.classes, spec.nu, [[0.5] * C for _ in range(C)])
+        labels = [ODD_LABELS[i] for i in rng.permutation(len(ODD_LABELS))[:C]] if k % 2 \
+            else list(spec.classes)
+        models.append({"classes": labels, "nu": list(spec.nu),
+                       "rho": [list(row) for row in spec.rho]})
+    C = len(ODD_LABELS)  # a path without self-loops lists every label
+    models.append({"classes": ODD_LABELS, "nu": [f"1/{C}"] * C,
+                   "rho": [[0.5 if abs(i - j) == 1 else 0.0 for j in range(C)] for i in range(C)]})
+    out = tmp_path / "ncond.json"
+    for model in models:
+        path = write_cfg(tmp_path, {"model": model})
+        assert main(["--config", path, "--out", str(out), "ncond"]) == 0
+        assert out.read_bytes() == encoded_ncond(load_config(path).spec).encode()
+
+
+def test_ncond_above_the_enumeration_cap_exits_2(tmp_path, capsys):
+    C = ENUMERATION_CAP + 1
+    doc = {"model": {"classes": [f"c{i}" for i in range(C)], "nu": [f"1/{C}"] * C,
+                     "rho": [[0.5 if abs(i - j) == 1 else 0.0 for j in range(C)]
+                             for i in range(C)]}}
+    out = tmp_path / "ncond.json"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "ncond"]) == 2
+    assert "capped" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_requires_seed(tmp_path, capsys):
     doc = triangle_cfg()
     del doc["run"]["base_seed"]
@@ -134,6 +201,17 @@ def test_drift_sweep_and_negative_control(tmp_path, capsys):
                  "--out", str(tmp_path / "bad.csv"), "drift", "--corrupt-kernel"]) == 1
     assert "failures" in capsys.readouterr().out
     assert any(r[-1] == "fail" for r in read_csv(tmp_path / "bad.csv")[1:])
+
+
+@pytest.mark.parametrize("verb", ["ncond", "appendix", "simulate", "stationary", "sweep"])
+def test_corrupt_kernel_is_drift_only(tmp_path, capsys, verb):
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", write_cfg(tmp_path, triangle_cfg()), "--out", str(out),
+              verb, "--corrupt-kernel"])
+    assert exc.value.code == 2
+    assert "--corrupt-kernel" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,args,analyze", [

@@ -30,8 +30,8 @@ from sbmatch import (
     verify_drift_chain,
 )
 from sbmatch import scenarios
-from sbmatch.kernel import (INEQ_TOL, chain_tables, drift_q_over, pow_int, theorem_bound_over,
-                            transition_table, verify_drift_chain_over)
+from sbmatch.kernel import (INEQ_TOL, chain_tables, drift_q_over, move_tables, pow_int,
+                            theorem_bound_over, transition_table, verify_drift_chain_over)
 from sbmatch.model import root_graph, stability
 
 from conftest import (random_model, random_state, scalar_corrupted_drift,
@@ -61,6 +61,26 @@ def test_pow_int_conventions():
     assert pow_int(0.0, 0) == 1.0
     assert pow_int(0.0, 3) == 0.0
     assert pow_int(0.7, 15) == pytest.approx(0.7 ** 15, rel=1e-15)
+
+
+def test_move_tables_miss_equals_scalar_pow_int():
+    # bases 1 - rho of 0, 1, and rates whose powers run into subnormals and 0
+    rates = (0.0, 1.0, 0.05, 0.3, 0.5, 0.7, 0.999, 1e-3)
+    C = len(rates)
+    rho = [[rates[max(i, j)] if min(i, j) == 0 else rates[i] if i == j else 0.0
+            for j in range(C)] for i in range(C)]
+    spec = make_spec(range(C), [Fraction(1, C)] * C, rho)
+    cap = 4096
+    powers = {}
+    for variant in ("raw", "homogenized", "binarized"):
+        _, miss = move_tables(spec, make_policy(spec, W2), variant, cap)
+        for i, row in enumerate(kernel_variant(spec, variant)):
+            for j, r in enumerate(row):
+                b = 1.0 - r
+                if b not in powers:
+                    powers[b] = np.array([pow_int(b, k) for k in range(cap + 1)])
+                assert miss[i, j].tobytes() == powers[b].tobytes()
+    assert len(powers) == len(rates)
 
 
 def test_transition_row_bipartite_example():

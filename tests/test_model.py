@@ -1,5 +1,6 @@
 """Model validation, root-graph derivation, and stability margins."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -236,16 +237,20 @@ def test_stability_matches_brute_force_on_random_models():
 
 def test_stability_shares_the_set_order_and_takes_the_first_minimizer():
     # uniform rates tie many margins; the minimizer is the first set, in the
-    # order independent_sets lists them, whose exact margin is the minimum
+    # order independent_sets lists them, whose exact margin is the minimum.
+    # The sets are every independent subset, in lexicographic order.
     rng = np.random.default_rng(4242)
     tied = 0
     for k in range(120):
-        spec = random_model(rng, max_classes=6)
+        spec = random_model(rng, max_classes=10)
         C = spec.n_classes
         if k % 2:
             spec = make_spec(spec.classes, (Fraction(1, C),) * C, spec.rho)
         rep = stability(spec)
         assert rep.independent_sets == independent_sets(root_graph(spec))
+        brute = [s for size in range(1, C + 1) for s in itertools.combinations(range(C), size)
+                 if not any(spec.rho[i][j] > 0.0 for i in s for j in s)]
+        assert [tuple(sorted(s)) for s in rep.independent_sets] == sorted(brute)
         if not rep.independent_sets:
             continue
         nu = spec.nu_exact or tuple(Fraction(str(v)) for v in spec.nu)

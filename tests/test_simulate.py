@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sbmatch import (
     W1,
     W2,
+    PolicyConfig,
     coupled_walk,
     final_states,
     make_policy,
@@ -266,6 +269,26 @@ def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
         assert len(simulate._shared_choice(spec, pol).memo) == 8
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_w1_misses_choose_as_select_class(data):
+    # random rho patterns (some classes, or all, without a partner) and
+    # alpha orders; counts mostly 0, so all-zero neighbourhoods are common
+    C = data.draw(st.integers(1, 6))
+    rho = [[0.0] * C for _ in range(C)]
+    for i in range(C):
+        for j in range(i, C):
+            rho[i][j] = rho[j][i] = data.draw(st.sampled_from([0.0, 0.0, 0.05, 0.5, 1.0]))
+    spec = make_spec(range(C), [Fraction(1, C)] * C, rho)
+    alpha = tuple(data.draw(st.permutations(range(1, C + 1))))
+    pol = PolicyConfig(W1, alpha, 1)
+    choice = simulate._Choice(spec, pol)
+    x = tuple(data.draw(st.lists(st.one_of(st.integers(0, 2), st.integers(0, 2**32 - 1)),
+                                 min_size=C, max_size=C)))
+    for c in range(C):
+        assert choice(c, x) == select_class(W1, alpha, x, rho[c])
+
+
 def test_one_memo_per_model_and_policy():
     # runs on one model under both weights and two alpha orders, and on a
     # second model, interleaved: a memo warmed by one pair must never answer
@@ -300,20 +323,23 @@ def test_run_samples_the_grid_like_the_scalar_loop(T, every):
 
 
 def test_step_shares_the_memo(monkeypatch, triangle_spec):
-    # each state is chosen by select_class once, however many steps reach it
+    # each state misses the memo once, however many steps reach it
     calls = []
+    miss = simulate._Choice.miss
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return select_class(*args)
+        return miss(self, *args)
 
-    monkeypatch.setattr(simulate, "select_class", counted)
-    simulate._shared_choice.cache_clear()
-    pol = make_policy(triangle_spec)
-    sim = new_sim(triangle_spec, 3)
-    for _ in range(300):
-        step(triangle_spec, pol, sim)
-    assert len(calls) == len(simulate._shared_choice(triangle_spec, pol).memo) < 300
+    monkeypatch.setattr(simulate._Choice, "miss", counted)
+    for weight in (W1, W2):
+        calls.clear()
+        simulate._shared_choice.cache_clear()
+        pol = make_policy(triangle_spec, weight)
+        sim = new_sim(triangle_spec, 3)
+        for _ in range(300):
+            step(triangle_spec, pol, sim)
+        assert len(calls) == len(simulate._shared_choice(triangle_spec, pol).memo) < 300
 
 
 @pytest.mark.parametrize("name", ["mixed_selfloop", "triangle", "path3"])

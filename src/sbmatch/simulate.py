@@ -96,13 +96,14 @@ class _Choice:
     """The greedy choice of the targeted class, memoised on the code of (c, x):
     c plus x(i) * units[i], where units[i] = 2**(KEY_BITS * (i + 1)).
 
-    A miss calls select_class, so the tie rule (WEIGHT_TOL, then the largest
-    alpha) lives in one place, except under W1.  There the weights are the
-    counts of the classes c can match, exact in a float, so the choice is
-    the integer argmax of x(j) (C + 1) + alpha(j) over those classes, and the
+    A miss calls select_class, which holds the tie rule (WEIGHT_TOL, then the
+    largest alpha), except under W1.  There the weights are the counts of
+    the classes c can match, exact in a float, so select_class's choice is
+    the integer argmax of x(j) (C + 1) + alpha(j) over those classes, or the
     class with the largest alpha when all their counts are 0 and every
-    weight ties at 0.  The memo holds at most CHOICE_MEMO_MAX entries; once
-    it is full, further choices are computed and not stored.
+    weight ties at 0; w1_choice computes that.  The memo holds at most
+    CHOICE_MEMO_MAX entries; once it is full, further choices are computed
+    and not stored.
     """
 
     def __init__(self, spec: ModelSpec, policy: PolicyConfig):

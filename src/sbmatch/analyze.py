@@ -98,7 +98,9 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
 
     pi(origin) is pinned to 1 (the origin is states[0]) and the origin's
     balance equation dropped, which leaves a nonsingular system for the
-    other states; BiCGSTAB solves it from the all-ones vector.  A residual
+    other states; BiCGSTAB solves it from b, the origin's one-step column.
+    (From the all-ones vector it stalled on long one-class chains, whose law
+    falls below the float range long before the cap.)  A residual
     above RESIDUAL_TOL after STATIONARY_RUNS runs raises ConvergenceError
     rather than returning a bad estimate.
     """
@@ -107,7 +109,7 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
 
     A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
     b = chain.P[0].toarray().ravel()[1:]  # minus the origin's column of I - P^T
-    rest = np.ones(chain.n_states - 1)
+    rest = b
     iterations = 0
 
     def count(_):

@@ -1,28 +1,34 @@
 """Monte Carlo engines for the matching dynamics.
 
-The lazy engine works on class counts only: an arrival targets the class
-chosen by the policy and probes its unmatched nodes one Bernoulli trial at a
-time until the first hit, which is a truncated geometric draw.  (The
-full-graph engine, which materializes every node and edge indicator, is a
-test oracle in tests/conftest.py.)
+The lazy engine works on class counts only.  A path draws its T arrival
+classes up front and then one probe uniform u(t) per arrival from the same
+generator, in blocks of BLOCK.  Arrival t of class c targets the class j
+chosen by the policy and matches one of its x(j) unmatched nodes iff
+u(t) < 1 - pow_int(1 - rho(c, j), x(j)), the kernel's match probability bit
+for bit (0 when x(j) = 0 or rho(c, j) = 0); otherwise it joins its own
+class.  Seeded outputs of simulate and sweep therefore differ from versions
+that probed with blocks of geometric draws.  (The full-graph engine, which
+materializes every node and edge indicator, is a test oracle in
+tests/conftest.py.)
 
 run, final_states and step share one per-arrival core, SimState.advance.
-The seeded paths of run and final_states equal those of the plain reference
-loop: the arrival classes are drawn up front, the greedy choice is
-select_class's, and each distinct positive rho value has its own buffer of
-rng.geometric(r, size=GEOM_BLOCK) blocks, drawn in order of need.  Only the
-cost differs.  run serves a whole path in one advance call, which records
-the grid samples itself.  The greedy choice is memoised on one integer code
-of (c, x): c in the low KEY_BITS-bit field and x(i) in field i + 1; advance
-derives it from x once per call and then adds one field unit per arrival.
+Every state (c, x) has one integer code: c in the low KEY_BITS-bit field and
+x(i) in field i + 1.  A memo maps the code to the state's edge: the match
+probability, and the code delta and move of a match and of a miss.  A miss
+builds the edge from select_class's choice (under W1, from the integer rule
+that equals it).  So each arrival costs one memo lookup, one compare, one
+add and one entry on a move log; run then works out the grid samples, the
+matched pairs (t - sum x) / 2, the running sup-norm sum behind ergodic_avg,
+the returns to zero and the final counts from the log with numpy, one block
+at a time, so that memory stays bounded by the arrival array and one block.
 A count never exceeds the arrivals served, so a path is refused past
 2**KEY_BITS - 1 arrivals.  Every engine call on one (model, policy) pair
 shares one memo, kept by an lru_cache of CHOICE_MEMOS memos for the life of
-the process.  A memo holds at most CHOICE_MEMO_MAX entries, past which
-choices are computed without being stored, so the memos hold at most
+the process.  A memo holds at most CHOICE_MEMO_MAX entries, past which edges
+are computed without being stored, so the memos hold at most
 CHOICE_MEMOS * CHOICE_MEMO_MAX entries in all.  step draws each arrival's
-class when it is called, so its stream interleaves class draws with the
-probe blocks.
+class and then its probe when it is called, so its stream interleaves the
+two.
 
 Streams are split by seed tuple: replica r of a batch with base seed s draws
 from SeedSequence((s, r)).  Nothing is ever seeded from the clock; a seed is
@@ -34,22 +40,25 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from struct import Struct
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .kernel import pow_int
 from .model import ModelSpec, neighborhood, root_graph, walk_spec
 from .policy import W1, PolicyConfig, State, select_class
 
-# Most entries one memo of greedy choices, code of (c, x) -> class, may hold.
+# Most entries one memo of edges, code of (c, x) -> edge, may hold.
 CHOICE_MEMO_MAX = 1 << 16
-# Memos of greedy choices kept at once, one per (model, policy) pair.
+# Memos of edges kept at once, one per (model, policy) pair.
 CHOICE_MEMOS = 8
 # Width of each field of a memo key; a path serves fewer than 2**KEY_BITS
 # arrivals, so no count overflows its field.
 KEY_BITS = 32
-# Geometric draws per refill of a probe buffer.
-GEOM_BLOCK = 4096
+_FIELD = (1 << KEY_BITS) - 1
+# Arrivals per block of probe draws, move log and run's bookkeeping.
+BLOCK = 1 << 15
 DEFAULT_SAMPLES = 512
 
 
@@ -71,8 +80,9 @@ def _sample_grid(T: int, sample_every: int | None) -> np.ndarray:
         if ts[-1] != T:
             ts.append(T)
         return np.asarray(ts, dtype=np.int64)
-    ts = np.linspace(0, T, num=min(T, DEFAULT_SAMPLES) + 1)
-    return np.unique(np.concatenate([ts.astype(np.int64), [T]]))
+    # ascending and ending at T, so np.unique's result without its sort
+    ts = np.linspace(0, T, num=min(T, DEFAULT_SAMPLES) + 1).astype(np.int64)
+    return ts[np.append(True, ts[1:] != ts[:-1])]
 
 
 def _check_path_length(t: int) -> None:
@@ -81,9 +91,8 @@ def _check_path_length(t: int) -> None:
 
 
 def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(spec.nu)
-    idx = np.searchsorted(cum, rng.random(T), side="right")
-    return np.minimum(idx, spec.n_classes - 1).astype(np.int64)
+    idx = np.searchsorted(np.cumsum(spec.nu), rng.random(T), side="right")
+    return np.minimum(idx, spec.n_classes - 1, out=idx).astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=CHOICE_MEMOS)
@@ -93,8 +102,14 @@ def _cumulative_nu(spec: ModelSpec) -> tuple[float, ...]:
 
 
 class _Choice:
-    """The greedy choice of the targeted class, memoised on the code of (c, x):
-    c plus x(i) * units[i], where units[i] = 2**(KEY_BITS * (i + 1)).
+    """The edges of the (c, x) states, memoised on their code
+    c + sum of x(i) * units[i], where units[i] = 2**(KEY_BITS * (i + 1)).
+
+    An edge is (p_yes, d_yes, m_yes, d_no, m_no): the probability that an
+    arrival of class c matches in state x, and the code delta and move of a
+    match and of a miss.  Move c is a count added to class c; move C + j is
+    a count taken from class j, the targeted class, which m_yes names even
+    when p_yes is 0.
 
     A miss calls select_class, which holds the tie rule (WEIGHT_TOL, then the
     largest alpha), except under W1.  There the weights are the counts of
@@ -102,126 +117,135 @@ class _Choice:
     the integer argmax of x(j) (C + 1) + alpha(j) over those classes, or the
     class with the largest alpha when all their counts are 0 and every
     weight ties at 0; w1_choice computes that.  The memo holds at most
-    CHOICE_MEMO_MAX entries; once it is full, further choices are computed
+    CHOICE_MEMO_MAX entries; once it is full, further edges are computed
     and not stored.
     """
 
     def __init__(self, spec: ModelSpec, policy: PolicyConfig):
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, tuple[float, int, int, int, int]] = {}
         self.weight, self.alpha, self.rho = policy.weight, policy.alpha, spec.rho
-        self.units = [1 << (KEY_BITS * (i + 1)) for i in range(spec.n_classes)]
-        # Under W1, the (class, alpha) pairs each arrival class can match.
-        self.matchable = [[(j, a) for j, (r, a) in enumerate(zip(row, policy.alpha)) if r > 0.0]
+        self.n = C = spec.n_classes
+        self.units = [1 << (KEY_BITS * (i + 1)) for i in range(C)]
+        # A code as its C + 1 fields, c first, read from its little-endian
+        # bytes ("I" is 32 bits, KEY_BITS).
+        self.fields = Struct(f"<{C + 1}I")
+        # One byte per move while the 2C moves fit in one; column m of steps
+        # is the change of the counts by move m.
+        self.log_type = bytearray if 2 * C <= 256 else list
+        eye = np.eye(C, dtype=np.int64)
+        self.steps = np.hstack([eye, -eye])
+        # Under W1, the (class, alpha, field shift) of each class that each
+        # arrival class can match.
+        self.matchable = [[(j, a, KEY_BITS * (j + 1))
+                           for j, (r, a) in enumerate(zip(row, policy.alpha)) if r > 0.0]
                           for row in spec.rho] if policy.weight is W1 else None
-        self.scale = spec.n_classes + 1
+        self.scale = C + 1
         self.top = policy.alpha.index(max(policy.alpha))
+        # p_yes by the targeted count, one dict per distinct rho value; an
+        # entry is stored with a memo entry, so it shares the memo's bound.
+        by_rho: dict[float, dict[int, float]] = {}
+        self.p_yes = [[by_rho.setdefault(r, {}) for r in row] for row in spec.rho]
 
     def code(self, x: Sequence[int]) -> int:
         """The key of (0, x); the key of (c, x) is this plus c."""
         return sum(v * u for v, u in zip(x, self.units))
 
-    def w1_choice(self, c: int, x: Sequence[int]) -> int:
-        scale = self.scale
-        best, score = self.top, scale - 1  # alpha(j) alone never exceeds C = scale - 1
-        for j, a in self.matchable[c]:
-            s = x[j] * scale + a
-            if s > score:
-                best, score = j, s
-        return best
+    def counts(self, code: int) -> list[int]:
+        """The x of the key code of (c, x)."""
+        return list(self.fields.unpack(code.to_bytes(self.fields.size, "little"))[1:])
 
-    def miss(self, key: int, c: int, x: Sequence[int]) -> int:
-        j = select_class(self.weight, self.alpha, x, self.rho[c]) if self.matchable is None \
-            else self.w1_choice(c, x)
+    def w1_choice(self, key: int) -> tuple[int, int]:
+        """The target j of the state whose code is key, and x(j), read from
+        the key's fields.  When the top-alpha fallback is taken, x(j) is
+        read as 0: it is 0 if c can match j, and p_yes is 0 whatever it is
+        if c cannot."""
+        scale = self.scale
+        best, score, count = self.top, scale - 1, 0  # alpha(j) alone never exceeds C = scale - 1
+        for j, a, shift in self.matchable[key & _FIELD]:
+            v = (key >> shift) & _FIELD
+            s = v * scale + a
+            if s > score:
+                best, score, count = j, s, v
+        return best, count
+
+    def miss(self, key: int) -> tuple[float, int, int, int, int]:
+        c = key & _FIELD
+        if self.matchable is None:
+            x = self.counts(key)
+            j = select_class(self.weight, self.alpha, x, self.rho[c])
+            xj = x[j]
+        else:
+            j, xj = self.w1_choice(key)
+        known = self.p_yes[c][j]
+        p = known.get(xj)
+        if p is None:
+            p = 1.0 - pow_int(1.0 - self.rho[c][j], xj)
+        units = self.units
+        edge = (p, -units[j], self.n + j, units[c], c)
         if len(self.memo) < CHOICE_MEMO_MAX:
-            self.memo[key] = j
-        return j
+            self.memo[key] = edge
+            known[xj] = p
+        return edge
+
+    def edge(self, c: int, x: Sequence[int]) -> tuple[float, int, int, int, int]:
+        key = self.code(x) + c
+        return self.memo.get(key) or self.miss(key)
 
     def __call__(self, c: int, x: Sequence[int]) -> int:
-        key = self.code(x) + c
-        j = self.memo.get(key)
-        return self.miss(key, c, x) if j is None else j
+        """The class that an arrival of class c targets in state x."""
+        return self.edge(c, x)[2] - self.n
 
 
 @lru_cache(maxsize=CHOICE_MEMOS)
 def _shared_choice(spec: ModelSpec, policy: PolicyConfig) -> _Choice:
-    """The one memo of greedy choices of a (model, policy) pair."""
+    """The one memo of edges of a (model, policy) pair."""
     return _Choice(spec, policy)
 
 
 class SimState:
-    """One lazy-engine realization: the counts, the pathwise counters, and one
-    list-backed buffer of geometric draws per distinct positive rho value.
-
-    A buffer is refilled with rng.geometric(r, size=GEOM_BLOCK) when a probe
-    finds it empty, so the blocks come off the stream in order of need.
-    """
+    """One lazy-engine realization: its generator, counts, time and matched
+    pairs."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
-        self.rng, self.rho = rng, spec.rho
-        pools: dict[float, list[int]] = {}
-        self.buffers = [[pools.setdefault(r, []) if r > 0.0 else None for r in row]
-                        for row in spec.rho]
+        self.rng = rng
         self.x = [0] * spec.n_classes
-        self.t = self.matched_pairs = self.returns_to_zero = 0
-        self.cum_norm = 0.0
-        self.first_return: int | None = None
-
-    def refill(self, buf: list[int], r: float) -> None:
-        buf.extend(self.rng.geometric(r, size=GEOM_BLOCK)[::-1].tolist())
+        self.t = self.matched_pairs = 0
 
     def advance(self, choice: _Choice, arrivals: Sequence[int],
-                sample_at: Sequence[int] = ()) -> list[tuple[list[int], int, float]]:
-        """Serve the given arrivals one by one.  The arrival of class c
-        targets class j = choice(c, x) and probes its x[j] unmatched nodes;
-        the first geometric trial at or below x[j] matches one of them,
-        otherwise the arrival joins its own class.
-
-        Returns (x, matched_pairs, cum_norm) as they stand after each
-        arrival whose time t is in sample_at, an ascending list of times
-        past the current one.
+                probes: Sequence[float]) -> bytearray | list[int]:
+        """Serve the given arrivals one by one, arrival k with the probe
+        uniform probes[k]: it matches iff that probe is below its edge's
+        p_yes.  Returns the move log, one move per arrival (see _Choice).
         """
         _check_path_length(self.t + len(arrivals))
-        x, buffers, rho, units = self.x, self.buffers, self.rho, choice.units
-        memo, miss = choice.memo, choice.miss
-        t, matched, cum_norm = self.t, self.matched_pairs, self.cum_norm
-        code, top = choice.code(x), max(x)  # the key of (0, x) and max(x)
-        times = iter(sample_at)
-        due = next(times, 0)
-        samples = []
-        for c in arrivals:
-            t += 1
+        get, miss = choice.memo.get, choice.miss
+        log = choice.log_type()
+        append = log.append
+        code = choice.code(self.x)
+        for c, u in zip(arrivals, probes):
             key = code + c
-            j = memo.get(key)  # _Choice.__call__, inlined
-            if j is None:
-                j = miss(key, c, x)
-            xj = x[j]
-            buf = buffers[c][j]
-            hit = False
-            if xj and buf is not None:
-                if not buf:
-                    self.refill(buf, rho[c][j])
-                hit = buf.pop() <= xj
-            if hit:
-                x[j] = xj - 1
-                code -= units[j]
-                matched += 1
-                if xj == top:
-                    top = max(x)
-                    if not top:
-                        self.returns_to_zero += 1
-                        if self.first_return is None:
-                            self.first_return = t
+            p_yes, d_yes, m_yes, d_no, m_no = get(key) or miss(key)
+            if u < p_yes:
+                code += d_yes
+                append(m_yes)
             else:
-                xc = x[c] = x[c] + 1
-                code += units[c]
-                if xc > top:
-                    top = xc
-            cum_norm += top
-            if t == due:
-                samples.append((x.copy(), matched, cum_norm))
-                due = next(times, 0)
-        self.t, self.matched_pairs, self.cum_norm = t, matched, cum_norm
-        return samples
+                code += d_no
+                append(m_no)
+        before, self.x = sum(self.x), choice.counts(code)
+        self.t += len(log)
+        self.matched_pairs += (len(log) + before - sum(self.x)) // 2
+        return log
+
+
+def _serve(path: SimState, choice: _Choice,
+           arrivals: np.ndarray) -> Iterator[tuple[int, bytearray | list[int]]]:
+    """Serve a path's arrivals in blocks of BLOCK, each with as many probe
+    uniforms drawn from the path's generator; yields each block's first
+    index and move log."""
+    for start in range(0, len(arrivals), BLOCK):
+        block = arrivals[start:start + BLOCK]
+        probes = memoryview(path.rng.random(len(block)))  # yields floats, like tolist, but lazily
+        yield start, path.advance(choice, block.tolist(), probes)
 
 
 @dataclass(frozen=True)
@@ -237,27 +261,39 @@ def new_sim(spec: ModelSpec, seed) -> SimState:
     return SimState(spec, np.random.default_rng(_seed_seq(seed)))
 
 
-def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
-    """Draw one arrival's class and serve it with SimState.advance.
+def _trials(u: float, r: float, n: int) -> int:
+    """The nodes a match probes: the least k <= n with
+    u < 1 - pow_int(1 - r, k), which holds at k = n, found by bisection."""
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if u < 1.0 - pow_int(1.0 - r, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
-    trials is the number of nodes probed: the geometric draw that advance
-    pops for this arrival, capped at x(j); or x(j) when rho(c, j) = 0
-    (probing a class with no edges burns all its nodes).
+
+def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
+    """Draw one arrival's class and then its probe uniform, and serve it with
+    SimState.advance.
+
+    trials is the number of nodes probed: on a match, the least k with
+    u < 1 - (1 - rho(c, j)) ** k, the first hit of a geometric trial
+    sequence coupled to the probe; otherwise all x(j) of them (probing a
+    class with no edges burns all its nodes).
     """
     # _draw_arrivals(spec, 1, rng) on the same stream, without the arrays
     c = min(bisect_right(_cumulative_nu(spec), sim.rng.random()), spec.n_classes - 1)
+    u = sim.rng.random()
     choice = _shared_choice(spec, policy)
-    j = choice(c, sim.x)
-    xj, buf = sim.x[j], sim.buffers[c][j]
-    trials = xj
-    if xj and buf is not None:
-        if not buf:
-            sim.refill(buf, sim.rho[c][j])
-        trials = min(buf[-1], xj)
-    matched = sim.matched_pairs
-    sim.advance(choice, (c,))
-    return StepEvent(t=sim.t, arrival=c, chosen=j, matched=sim.matched_pairs > matched,
-                     trials=trials)
+    p_yes, _, move, _, _ = choice.edge(c, sim.x)
+    j = move - choice.n
+    xj = sim.x[j]
+    sim.advance(choice, (c,), (u,))
+    matched = u < p_yes
+    return StepEvent(t=sim.t, arrival=c, chosen=j, matched=matched,
+                     trials=_trials(u, spec.rho[c][j], xj) if matched else xj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,30 +351,42 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
     path = SimState(spec, rng)
+    C = spec.n_classes
 
     grid = _sample_grid(T, sample_every)
-    S = grid.size
-    samp_x = np.zeros((S, spec.n_classes), dtype=np.int64)
-    samp_matched = np.zeros(S, dtype=np.int64)
-    samp_erg = np.zeros(S, dtype=np.float64)
-    ts = grid[1:]  # the grid starts at 0, whose row stays all zeros
-    samples = path.advance(_shared_choice(spec, policy), arrivals.tolist(), ts.tolist())
-    if samples:
-        xs, matched, cum_norm = zip(*samples)
-        samp_x[1:], samp_matched[1:] = xs, matched
-        samp_erg[1:] = np.divide(cum_norm, ts)
+    samp_x = np.zeros((grid.size, C), dtype=np.int64)
+    samp_erg = np.zeros(grid.size, dtype=np.float64)
+    choice = _shared_choice(spec, policy)
+    x = np.zeros((C, 1), dtype=np.int64)  # the counts before the block
+    cum_norm, returns, first_return = 0.0, 0, None
+    for start, log in _serve(path, choice, arrivals):
+        X = np.take(choice.steps, np.asarray(log), axis=1)
+        np.cumsum(X, axis=1, out=X)
+        X += x  # (C, n): the counts after each arrival of the block
+        x = X[:, -1:].copy()
+        top = X.max(axis=0)
+        empty = np.flatnonzero(top == 0)
+        returns += empty.size
+        if first_return is None and empty.size:
+            first_return = start + int(empty[0]) + 1
+        # the float running sum, added in arrival order like a scalar loop
+        cum = np.cumsum(np.concatenate(([cum_norm], top)))[1:]
+        cum_norm = cum[-1]
+        lo, hi = np.searchsorted(grid, (start, start + len(log)), side="right")
+        k = grid[lo:hi] - (start + 1)
+        samp_x[lo:hi] = X[:, k].T
+        samp_erg[lo:hi] = cum[k] / grid[lo:hi]
 
     sup = samp_x.max(axis=1)
-    perfect = sup == 0
     walks: dict[frozenset[int], np.ndarray] = {}
     for members in track_walks:
         key = frozenset(members)
         walks[key] = coupled_walk(spec, key, arrivals)[grid]
 
     return Trajectory(T=T, seed=seed, t_grid=grid, x=samp_x, sup_norm=sup,
-                      matched_pairs=samp_matched, perfect=perfect,
+                      matched_pairs=(grid - samp_x.sum(axis=1)) // 2, perfect=sup == 0,
                       ergodic_avg=samp_erg, walks=walks,
-                      returns_to_zero=path.returns_to_zero, first_return=path.first_return,
+                      returns_to_zero=returns, first_return=first_return,
                       final_x=tuple(path.x), matched_total=path.matched_pairs,
                       arrivals=arrivals if keep_arrivals else None)
 
@@ -358,6 +406,7 @@ def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
     for rep in range(replicas):
         rng = np.random.default_rng(_seed_seq((base_seed, rep)))
         path = SimState(spec, rng)
-        path.advance(choice, _draw_arrivals(spec, T, rng).tolist())
+        for _ in _serve(path, choice, _draw_arrivals(spec, T, rng)):
+            pass
         out[rep] = path.x
     return out

@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from sbmatch import KernelError, ModelSpec, make_spec, quadratic, root_graph, transition_row
 from sbmatch import scenarios
-from sbmatch.kernel import TransitionRow
+from sbmatch.kernel import TransitionRow, pow_int
 from sbmatch.policy import PolicyConfig, State, select_class, support
 from sbmatch.simulate import (Trajectory, _draw_arrivals, _sample_grid, _seed_seq, _shared_choice,
                               coupled_walk)
@@ -266,66 +266,20 @@ def scalar_propagate_distribution(spec: ModelSpec, policy: PolicyConfig, variant
     return current
 
 
-class _GeomPool:
-    """Buffered geometric draws, one buffer per success probability."""
-
-    def __init__(self, rng: np.random.Generator, block: int = 4096):
-        self.rng = rng
-        self.block = block
-        self.buffers: dict[float, tuple[np.ndarray, int]] = {}
-
-    def draw(self, p: float) -> int:
-        buf = self.buffers.get(p)
-        if buf is None or buf[1] >= buf[0].size:
-            buf = (self.rng.geometric(p, size=self.block), 0)
-        arr, pos = buf
-        self.buffers[p] = (arr, pos + 1)
-        return int(arr[pos])
-
-
-def _make_chooser(spec: ModelSpec, policy: PolicyConfig):
-    """Per-arrival-class choice function; exact fast path for w1."""
-    C = spec.n_classes
-    alpha = policy.alpha
-    if policy.weight.name == "w1":
-        pos = [tuple(v > 0.0 for v in row) for row in spec.rho]
-
-        def choose(x: list[int], c: int) -> int:
-            row = pos[c]
-            best = -1
-            bw = -1
-            ba = -1
-            for j in range(C):
-                wj = x[j] if row[j] else 0
-                if wj > bw or (wj == bw and alpha[j] > ba):
-                    best, bw, ba = j, wj, alpha[j]
-            return best
-
-        return choose
-
-    weight = policy.weight
-    rho = spec.rho
-
-    def choose(x: list[int], c: int) -> int:
-        return select_class(weight, alpha, x, rho[c])
-
-    return choose
-
-
 def scalar_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
                sample_every: int | None = None,
                track_walks: Iterable[Iterable[int]] = (),
                keep_arrivals: bool = False) -> Trajectory:
-    """The lazy engine's path, one arrival at a time, with an unmemoised
-    choice and a dict-keyed pool of geometric blocks.
+    """The lazy engine's path, one arrival at a time, without a memo: every
+    arrival calls select_class, and matches iff its probe uniform (drawn
+    after all the arrival classes) is below 1 - pow_int(1 - rho, x(j)).
 
     track_walks lists independent sets whose comparison walks are evaluated
     on the same arrival stream and sampled on the same grid.
     """
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
-    pool = _GeomPool(rng)
-    choose = _make_chooser(spec, policy)
+    probes = rng.random(T)
     rho = spec.rho
     C = spec.n_classes
 
@@ -349,10 +303,10 @@ def scalar_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
 
     for t in range(1, T + 1):
         c = int(arrivals[t - 1])
-        j = choose(x, c)
+        j = select_class(policy.weight, policy.alpha, x, rho[c])
         xj = x[j]
         r = rho[c][j]
-        if xj > 0 and r > 0.0 and pool.draw(r) <= xj:
+        if xj > 0 and r > 0.0 and probes[t - 1] < 1.0 - pow_int(1.0 - r, xj):
             x[j] = xj - 1
             matched_pairs += 1
             total -= 1
@@ -391,19 +345,18 @@ def scalar_final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed
     """Final count vectors of many short replicas, without path bookkeeping."""
     C = spec.n_classes
     rho = spec.rho
-    choose = _make_chooser(spec, policy)
     out = np.zeros((replicas, C), dtype=np.int64)
     for rep in range(replicas):
         rng = np.random.default_rng(_seed_seq((base_seed, rep)))
         arrivals = _draw_arrivals(spec, T, rng)
-        pool = _GeomPool(rng)
+        probes = rng.random(T)
         x = [0] * C
         for t in range(T):
             c = int(arrivals[t])
-            j = choose(x, c)
+            j = select_class(policy.weight, policy.alpha, x, rho[c])
             xj = x[j]
             r = rho[c][j]
-            if xj > 0 and r > 0.0 and pool.draw(r) <= xj:
+            if xj > 0 and r > 0.0 and probes[t] < 1.0 - pow_int(1.0 - r, xj):
                 x[j] = xj - 1
             else:
                 x[c] += 1

@@ -115,6 +115,28 @@ def test_single_selfloop_matches_birth_death_product_form(p):
     np.testing.assert_allclose(stationary(ch).pi, expected, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("weight", [W1, W2], ids=["w1", "w2"])
+@pytest.mark.parametrize("cap", [300, 1000])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.95])
+def test_long_single_selfloop_chain_matches_birth_death_product_form(p, cap, weight):
+    # the law falls below the float range long before these caps; a solve
+    # started from the all-ones vector stalled far above the residual gate.
+    # Where (1-p)^x underflows, the up-move and the law's weight are both 0,
+    # so the reached states are the ones of positive weight.
+    solo = scenarios.single_selfloop(p)
+    ch = truncate(solo, make_policy(solo, weight), cap)
+    weights = [1.0]
+    for x in range(cap):
+        weights.append(weights[-1] * (1.0 - p) ** x / (1.0 - (1.0 - p) ** (x + 1)))
+    expected = np.asarray(weights) / sum(weights)
+    n = ch.n_states
+    assert ch.states.tolist() == [[x] for x in range(n)]
+    assert not expected[n:].any()
+    est = stationary(ch)
+    assert est.residual <= analyze.RESIDUAL_TOL
+    np.testing.assert_allclose(est.pi, expected[:n], rtol=0.0, atol=1e-12)
+
+
 def test_two_state_chain_solved_exactly():
     # cap 1 on the self-matching class: pi(0) = r / (1 + r) by hand
     solo = scenarios.single_selfloop(0.5)

@@ -1,5 +1,7 @@
 """Monte Carlo engines against the exact kernel and each other."""
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +28,7 @@ from sbmatch import (
     transition_row,
 )
 from sbmatch import scenarios, simulate
+from sbmatch.kernel import box_moves, move_tables, pow_int
 
 from conftest import enumerate_exact_distribution, full_graph_run, scalar_final_states, scalar_run
 
@@ -262,7 +265,11 @@ def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
         choice = simulate._Choice(spec, pol)
         for n in range(40):
             x = (n, n // 3)
-            assert choice(0, x) == select_class(pol.weight, pol.alpha, x, spec.rho[0])
+            j = select_class(pol.weight, pol.alpha, x, spec.rho[0])
+            p_yes = 1.0 - pow_int(1.0 - spec.rho[0][j], x[j])
+            units = choice.units
+            assert choice.edge(0, x) == (p_yes, -units[j], 2 + j, units[0], 0)
+            assert choice(0, x) == j
         assert len(choice.memo) == 8
         for seed in (4, 5, 6):
             assert_same_engine_output(spec, pol, seed)
@@ -344,9 +351,10 @@ def test_step_shares_the_memo(monkeypatch, triangle_spec):
 
 @pytest.mark.parametrize("name", ["mixed_selfloop", "triangle", "path3"])
 def test_step_draws_the_class_as_draw_arrivals_does(name):
-    # step draws its class with one rng.random() and a bisection; the oracle
-    # draws it with _draw_arrivals(spec, 1, rng) from a twin generator, and
-    # both paths then take the same geometric probes
+    # step draws its class with one rng.random() and a bisection, then its
+    # probe with one more; the oracle draws the class with
+    # _draw_arrivals(spec, 1, rng) and the probe with rng.random(1) from a
+    # twin generator, and serves both with the core
     spec = getattr(scenarios, name)()
     pol = make_policy(spec)
     sim, ref = new_sim(spec, 21), new_sim(spec, 21)
@@ -354,6 +362,70 @@ def test_step_draws_the_class_as_draw_arrivals_does(name):
     for _ in range(20_000):
         ev = step(spec, pol, sim)
         c = int(simulate._draw_arrivals(spec, 1, ref.rng)[0])
-        ref.advance(choice, (c,))
+        ref.advance(choice, (c,), ref.rng.random(1).tolist())
         assert ev.arrival == c and sim.x == ref.x
     assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_engine_matches_scalar_oracle_across_blocks(monkeypatch, block):
+    # paths split into many blocks of probes, move log and bookkeeping must
+    # carry the counts, the running sup-norm sum and the first return across
+    monkeypatch.setattr(simulate, "BLOCK", block)
+    for name in ("triangle", "bipartite_3_5", "mixed_selfloop"):
+        spec = ORACLE_MODELS[name]()
+        assert_same_engine_output(spec, make_policy(spec, W1), 8)
+
+
+@pytest.mark.parametrize("weight", [W1, W2], ids=["w1", "w2"])
+@pytest.mark.parametrize("name", ["triangle", "mixed_selfloop", "path3"])
+def test_memo_edges_carry_the_kernels_match_probability(name, weight):
+    # every (c, x) of {0..4}^C: the edge targets box_moves' class, and its
+    # p_yes is 1 - m with m the kernel's miss probability, bit for bit
+    spec = getattr(scenarios, name)()
+    pol = make_policy(spec, weight)
+    C, cap = spec.n_classes, 4
+    X = np.asarray(list(itertools.product(range(cap + 1), repeat=C)), dtype=np.int64)
+    tables = move_tables(spec, pol, "raw", cap)
+    miss = tables[1]
+    choice = simulate._Choice(spec, pol)
+    for c, targets, _, _ in box_moves(spec, pol, tables, X):
+        for x, j in zip(X.tolist(), targets.tolist()):
+            p_yes, d_yes, m_yes, d_no, m_no = choice.edge(c, x)
+            assert (m_yes, m_no) == (C + j, c)
+            assert (d_yes, d_no) == (-choice.units[j], choice.units[c])
+            assert p_yes == 1.0 - float(miss[c, j, x[j]])
+
+
+def test_long_run_peak_memory():
+    # the probes, the move log and the bookkeeping are held one block at a
+    # time; the engine that drew geometric blocks peaked at 24.0 MB on this path
+    spec = scenarios.mixed_selfloop()
+    pol = make_policy(spec, W1)
+    run(spec, pol, 1000, 0)  # the memo and the module state exist before tracing
+    tracemalloc.start()
+    try:
+        run(spec, pol, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24_000_000
+
+
+def test_engine_matches_scalar_oracle_past_one_byte_moves():
+    # 129 classes on a path: the 2C = 258 moves no longer fit in a byte
+    C = 129
+    rho = [[0.0] * C for _ in range(C)]
+    for i in range(C - 1):
+        rho[i][i + 1] = rho[i + 1][i] = 0.5
+    spec = make_spec([f"k{i}" for i in range(C)], [Fraction(1, C)] * C, rho)
+    for weight in (W1, W2):
+        pol = make_policy(spec, weight)
+        a = run(spec, pol, 3000, 1, sample_every=7)
+        b = scalar_run(spec, pol, 3000, 1, sample_every=7)
+        for field in ("x", "matched_pairs", "ergodic_avg"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert (a.returns_to_zero, a.first_return, a.final_x) \
+            == (b.returns_to_zero, b.first_return, b.final_x)
+        assert np.array_equal(final_states(spec, pol, 50, 3, 20),
+                              scalar_final_states(spec, pol, 50, 3, 20))

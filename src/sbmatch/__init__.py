@@ -33,7 +33,6 @@ from .policy import (
     check_assumption,
     make_policy,
     n_star,
-    phi,
     select_class,
     support,
     sup_norm,

@@ -99,10 +99,8 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
     pi(origin) is pinned to 1 (the origin is states[0]) and the origin's
     balance equation dropped, which leaves a nonsingular system for the
     other states; BiCGSTAB solves it from b, the origin's one-step column.
-    (From the all-ones vector it stalled on long one-class chains, whose law
-    falls below the float range long before the cap.)  A residual
-    above RESIDUAL_TOL after STATIONARY_RUNS runs raises ConvergenceError
-    rather than returning a bad estimate.
+    A residual above RESIDUAL_TOL after STATIONARY_RUNS runs raises
+    ConvergenceError rather than returning a bad estimate.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import bicgstab

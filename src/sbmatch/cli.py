@@ -228,26 +228,23 @@ def _write_chunks(path: str | None, header: list[str], chunks) -> None:
             fh.writelines(chunk)
 
 
-def _labels(spec: ModelSpec, members) -> list[str]:
-    return [str(spec.classes[i]) for i in sorted(members)]
-
-
 def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec
     stab = stability(spec)
+    minimizer = None if stab.minimizer is None else [str(spec.classes[i]) for i in stab.minimizer]
     doc = {
         "classes": [str(c) for c in spec.classes],
         "eta": "inf" if math.isinf(stab.eta) else stab.eta,
         "eta_exact": str(stab.eta_exact) if stab.eta_exact is not None else None,
         "ncond": stab.ncond,
         "independent_sets": [],  # written below from templates
-        "minimizer": _labels(spec, stab.minimizer) if stab.minimizer is not None else None,
+        "minimizer": minimizer,
         "walk": None,
     }
     if stab.minimizer is not None:
         ws = walk_spec(spec, stab.minimizer)
         doc["walk"] = {
-            "set": _labels(spec, ws.independent_set),
+            "set": minimizer,
             "mu": ws.mu,
             "sigma2": ws.sigma2,
             "c_bound": ws.c_bound,
@@ -258,7 +255,7 @@ def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
         # pure-Python encoder.  The key cannot occur inside a string, where
         # every quote is escaped.
         label = ["\n      " + json.dumps(str(c)) for c in spec.classes]
-        listing = ",\n    ".join(["[" + ",".join(map(label.__getitem__, sorted(s))) + "\n    ]"
+        listing = ",\n    ".join(["[" + ",".join(map(label.__getitem__, s)) + "\n    ]"
                                    for s in stab.independent_sets])
         text = text.replace('"independent_sets": []', f'"independent_sets": [\n    {listing}\n  ]', 1)
     with _output(args.out) as fh:
@@ -372,11 +369,12 @@ def cmd_simulate(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     header = ["replica", "t"] + [f"x_{c}" for c in spec.classes] \
         + ["sup_norm", "matched_pairs", "perfect"] + ["walk_S"] * len(walks)
     row = ",".join(["%d"] * len(header)) + "\n"
-    trajs = simulate.run_replicas(spec, policy, cfg.run.T, base_seed, cfg.run.replicas,
-                                  sample_every=cfg.run.sample_every, track_walks=walks)
+    simulate._check_path_length(cfg.run.T)  # before the output file opens
 
     def chunks():
-        for rep, tr in enumerate(trajs):
+        for rep in range(cfg.run.replicas):  # run_replicas' streams, one path at a time
+            tr = simulate.run(spec, policy, cfg.run.T, (base_seed, rep),
+                              sample_every=cfg.run.sample_every, track_walks=walks)
             cols = [tr.t_grid, *tr.x.T, tr.sup_norm, tr.matched_pairs, tr.perfect, *tr.walks.values()]
             yield map(row.__mod__, zip(itertools.repeat(rep), *(c.tolist() for c in cols)))
 

@@ -356,7 +356,10 @@ def move_tables(spec: ModelSpec, policy: PolicyConfig, variant: str,
                 cap: int) -> tuple[np.ndarray, np.ndarray]:
     """w(k, rho[i][j]) and (1 - rho[i][j]) ** k at [i, j, k] for the variant's
     rho and the counts k = 0..cap, from the scalar weight and _pow_int_over, so
-    that they equal select_class's and _arrival_moves' values.  They hold
+    that they equal select_class's and _arrival_moves' values.  The weight
+    takes one scalar call per count because numpy's array power can differ
+    from the scalar ** in the last bit of w2 (numpy 2.4.6 on AVX-512: 62 of
+    counts 0..200,000 at r = 1e-3, 11,762 at r = 1e-7).  They hold
     2 C^2 (cap + 1) floats: a sweep builds them once and drops them at its end."""
     rho = kernel_variant(spec, variant)
     C, side = spec.n_classes, cap + 1

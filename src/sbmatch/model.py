@@ -80,13 +80,13 @@ class StabilityReport:
     of the compatibility graph, +inf when there is no such set.  The chain is
     positive recurrent under the greedy policies exactly when eta > 0, which
     is what the ncond flag records.  eta_exact is the margin as a fraction,
-    None when eta is +inf.
+    None when eta is +inf.  Each set is the tuple of its members, ascending.
     """
 
     eta: float
     ncond: bool
-    independent_sets: tuple[frozenset[int], ...]
-    minimizer: frozenset[int] | None
+    independent_sets: tuple[tuple[int, ...], ...]
+    minimizer: tuple[int, ...] | None
     eta_exact: Fraction | None = None
 
 
@@ -221,9 +221,10 @@ def _independent_sets(graph: RootGraph, units: Sequence[int]) -> list[tuple[tupl
     return sets
 
 
-def independent_sets(graph: RootGraph) -> tuple[frozenset[int], ...]:
-    """All non-empty independent sets of the graph in lexicographic order."""
-    return tuple(frozenset(m) for m, _ in _independent_sets(graph, [0] * graph.n_classes))
+def independent_sets(graph: RootGraph) -> tuple[tuple[int, ...], ...]:
+    """All non-empty independent sets of the graph in lexicographic order,
+    each as its sorted members."""
+    return tuple(m for m, _ in _independent_sets(graph, [0] * graph.n_classes))
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +248,7 @@ def stability(spec: ModelSpec) -> StabilityReport:
         return StabilityReport(eta=math.inf, ncond=True, independent_sets=(),
                                minimizer=None, eta_exact=None)
 
-    sets = tuple(frozenset(m) for m, _ in found)
-    margins = [margin for _, margin in found]
+    sets, margins = zip(*found)
     best = min(margins)
     eta_exact = Fraction(best, den)
     return StabilityReport(eta=float(eta_exact), ncond=best > 0, independent_sets=sets,

@@ -60,17 +60,10 @@ class WeightFunction:
 
 
 def _w1(n, r: float):
-    if type(n) is int or np.ndim(n) == 0:
-        return float(n) if r > 0.0 else 0.0
-    n = np.asarray(n, dtype=float)
-    return n.copy() if r > 0.0 else np.zeros_like(n)
+    return n * (1.0 if r > 0.0 else 0.0)
 
 
 def _w2(n, r: float):
-    if type(n) is int or np.ndim(n) == 0:
-        n = float(n)
-        return n * (1.0 - (1.0 - r) ** n)
-    n = np.asarray(n, dtype=float)
     return n * (1.0 - (1.0 - r) ** n)
 
 
@@ -270,10 +263,3 @@ def select_class(weight: WeightFunction, alpha: Sequence[int], x: Sequence[int],
         if wj >= w_floor and alpha[j] > best_alpha:
             best, best_alpha = j, alpha[j]
     return best
-
-
-def phi(policy: PolicyConfig, spec: ModelSpec, x: Sequence[int], i: int) -> int:
-    """Class targeted by an arrival of class i in state x."""
-    if len(x) != spec.n_classes:
-        raise PolicyError("state length does not match the number of classes")
-    return select_class(policy.weight, policy.alpha, x, spec.rho[i])

@@ -6,10 +6,8 @@ generator, in blocks of BLOCK.  Arrival t of class c targets the class j
 chosen by the policy and matches one of its x(j) unmatched nodes iff
 u(t) < 1 - pow_int(1 - rho(c, j), x(j)), the kernel's match probability bit
 for bit (0 when x(j) = 0 or rho(c, j) = 0); otherwise it joins its own
-class.  Seeded outputs of simulate and sweep therefore differ from versions
-that probed with blocks of geometric draws.  (The full-graph engine, which
-materializes every node and edge indicator, is a test oracle in
-tests/conftest.py.)
+class.  (The full-graph engine, which materializes every node and edge
+indicator, is a test oracle in tests/conftest.py.)
 
 run, final_states and step share one per-arrival core, SimState.advance.
 Every state (c, x) has one integer code: c in the low KEY_BITS-bit field and
@@ -65,8 +63,6 @@ DEFAULT_SAMPLES = 512
 def _seed_seq(seed) -> np.random.SeedSequence:
     if seed is None:
         raise ValueError("a seed is required; wall-clock seeding is not supported")
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
     if isinstance(seed, (tuple, list)):
         return np.random.SeedSequence(tuple(int(v) for v in seed))
     return np.random.SeedSequence(int(seed))
@@ -93,12 +89,6 @@ def _check_path_length(t: int) -> None:
 def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndarray:
     idx = np.searchsorted(np.cumsum(spec.nu), rng.random(T), side="right")
     return np.minimum(idx, spec.n_classes - 1, out=idx).astype(np.int64, copy=False)
-
-
-@lru_cache(maxsize=CHOICE_MEMOS)
-def _cumulative_nu(spec: ModelSpec) -> tuple[float, ...]:
-    """The cumulative arrival rates that _draw_arrivals searches, as floats."""
-    return tuple(np.cumsum(spec.nu).tolist())
 
 
 class _Choice:
@@ -145,6 +135,8 @@ class _Choice:
         # entry is stored with a memo entry, so it shares the memo's bound.
         by_rho: dict[float, dict[int, float]] = {}
         self.p_yes = [[by_rho.setdefault(r, {}) for r in row] for row in spec.rho]
+        # The cumulative arrival rates that _draw_arrivals searches, for step.
+        self.cum_nu = tuple(np.cumsum(spec.nu).tolist())
 
     def code(self, x: Sequence[int]) -> int:
         """The key of (0, x); the key of (c, x) is this plus c."""
@@ -283,10 +275,10 @@ def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
     sequence coupled to the probe; otherwise all x(j) of them (probing a
     class with no edges burns all its nodes).
     """
-    # _draw_arrivals(spec, 1, rng) on the same stream, without the arrays
-    c = min(bisect_right(_cumulative_nu(spec), sim.rng.random()), spec.n_classes - 1)
-    u = sim.rng.random()
     choice = _shared_choice(spec, policy)
+    # _draw_arrivals(spec, 1, rng) on the same stream, without the arrays
+    c = min(bisect_right(choice.cum_nu, sim.rng.random()), choice.n - 1)
+    u = sim.rng.random()
     p_yes, _, move, _, _ = choice.edge(c, sim.x)
     j = move - choice.n
     xj = sim.x[j]
@@ -313,7 +305,6 @@ class Trajectory:
     first_return: int | None
     final_x: State
     matched_total: int
-    arrivals: np.ndarray | None = None
 
 
 def coupled_walk(spec: ModelSpec, independent_set: Iterable[int],
@@ -340,8 +331,7 @@ def coupled_walk(spec: ModelSpec, independent_set: Iterable[int],
 
 def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
         sample_every: int | None = None,
-        track_walks: Iterable[Iterable[int]] = (),
-        keep_arrivals: bool = False) -> Trajectory:
+        track_walks: Iterable[Iterable[int]] = ()) -> Trajectory:
     """Run the lazy engine for T arrivals and sample the path on a grid.
 
     track_walks lists independent sets whose comparison walks are evaluated
@@ -387,8 +377,7 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
                       matched_pairs=(grid - samp_x.sum(axis=1)) // 2, perfect=sup == 0,
                       ergodic_avg=samp_erg, walks=walks,
                       returns_to_zero=returns, first_return=first_return,
-                      final_x=tuple(path.x), matched_total=path.matched_pairs,
-                      arrivals=arrivals if keep_arrivals else None)
+                      final_x=tuple(path.x), matched_total=path.matched_pairs)
 
 
 def run_replicas(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,

@@ -268,8 +268,7 @@ def scalar_propagate_distribution(spec: ModelSpec, policy: PolicyConfig, variant
 
 def scalar_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
                sample_every: int | None = None,
-               track_walks: Iterable[Iterable[int]] = (),
-               keep_arrivals: bool = False) -> Trajectory:
+               track_walks: Iterable[Iterable[int]] = ()) -> Trajectory:
     """The lazy engine's path, one arrival at a time, without a memo: every
     arrival calls select_class, and matches iff its probe uniform (drawn
     after all the arrival classes) is below 1 - pow_int(1 - rho, x(j)).
@@ -336,8 +335,7 @@ def scalar_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
                       matched_pairs=samp_matched, perfect=perfect,
                       ergodic_avg=samp_erg, walks=walks,
                       returns_to_zero=returns_to_zero, first_return=first_return,
-                      final_x=tuple(int(v) for v in x), matched_total=matched_pairs,
-                      arrivals=arrivals if keep_arrivals else None)
+                      final_x=tuple(int(v) for v in x), matched_total=matched_pairs)
 
 
 def scalar_final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,

@@ -18,10 +18,10 @@ from sbmatch import (
     invariant_mean_bound,
     make_policy,
     n_star,
-    phi,
     propagate_distribution,
     run_replicas,
     scenarios,
+    select_class,
     stability,
     stationary,
     transition_row,
@@ -261,7 +261,7 @@ def test_criterion_9_policy_properties():
         else:
             x = random_state(rng, spec.n_classes)
         i = int(rng.integers(spec.n_classes))
-        j = phi(pol, spec, x, i)
+        j = select_class(pol.weight, pol.alpha, x, spec.rho[i])
         cases += 1
         eligible = [k for k in range(spec.n_classes)
                     if spec.rho[i][k] > 0.0 and x[k] > 0]

@@ -414,6 +414,39 @@ def test_sweep_memory_does_not_grow_with_the_radius(tmp_path, capsys, verb):
     assert peaks[1] - peaks[0] < 200_000, peaks
 
 
+def test_simulate_memory_does_not_grow_with_the_replicas(tmp_path):
+    # each replica's rows are written before the next path is run: 20 and
+    # 200 replicas must peak alike (holding the paths would cost about 30 kB
+    # per replica on the default grid)
+    doc = triangle_cfg()
+    doc["run"] = {"T": 2000, "replicas": 20, "base_seed": 11}
+    out = str(tmp_path / "sim.csv")
+    main(["--config", write_cfg(tmp_path, doc), "--out", out, "simulate"])  # warm the caches
+    peaks = []
+    for replicas in (20, 200):
+        doc["run"]["replicas"] = replicas
+        cfg = write_cfg(tmp_path, doc)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["--config", cfg, "--out", out, "simulate"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 500_000, peaks
+
+
+def test_simulate_refuses_an_overlong_path_before_it_opens_out(tmp_path, capsys):
+    doc = triangle_cfg()
+    doc["run"]["T"] = 2**32
+    out = tmp_path / "sim.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2**32 - 1 arrivals" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # Arguments a verb refuses before it opens --out.
 REFUSED_FIRST = {"drift": ["--max-norm", "-1"], "appendix": ["--max-norm", "-1"],
                  "simulate": ["--seed", "-1"], "sweep": ["--seed", "-1"]}

@@ -14,7 +14,6 @@ from sbmatch import (
     make_policy,
     make_spec,
     n_star,
-    phi,
     run,
     select_class,
     simulate,
@@ -52,6 +51,38 @@ def test_weights_accept_arrays():
     ns = np.arange(6)
     np.testing.assert_allclose(W1(ns, 0.5), ns)
     np.testing.assert_allclose(W2(ns, 0.5), ns * (1 - 0.5 ** ns))
+
+
+WEIGHT_RATES = (0.0, 1e-7, 1e-3, 0.05, 0.3, 0.5, 0.6, 0.9999, 1.0)
+
+
+def explicit_w1(n, r):
+    if np.ndim(n) == 0:
+        return float(n) if r > 0.0 else 0.0
+    n = np.asarray(n, dtype=float)
+    return n.copy() if r > 0.0 else np.zeros_like(n)
+
+
+def explicit_w2(n, r):
+    n = float(n) if np.ndim(n) == 0 else np.asarray(n, dtype=float)
+    return n * (1.0 - (1.0 - r) ** n)
+
+
+@pytest.mark.parametrize("weight,explicit", [(W1, explicit_w1), (W2, explicit_w2)],
+                         ids=["w1", "w2"])
+def test_weights_keep_the_bits_of_their_explicit_float_forms(weight, explicit):
+    # one expression serves ints and arrays: it must give the floats that
+    # converting the count first gave, bit for bit
+    counts = [*range(3000), 10**6, 2**40, 2**53 - 1]
+    ns = np.arange(200_001)
+    for r in WEIGHT_RATES:
+        got = [weight.fn(n, r) for n in counts]
+        assert all(type(v) is float for v in got)
+        want = [explicit(n, r) for n in counts]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64)), r
+        got, want = weight.fn(ns, r), explicit(ns, r)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), r
 
 
 def test_n_star_w1_is_one_for_every_rate():
@@ -155,13 +186,13 @@ def test_select_class_breaks_ties_by_larger_alpha(bipartite_spec):
 
 def test_select_class_triangle_example(triangle_spec):
     pol = make_policy(triangle_spec, weight=W2)
-    assert phi(pol, triangle_spec, (3, 5, 0), 0) == 1
+    assert select_class(pol.weight, pol.alpha, (3, 5, 0), triangle_spec.rho[0]) == 1
 
 
 def test_phi_ignores_incompatible_classes(path3_spec):
     pol = make_policy(path3_spec)
     # arrival a only sees b, whatever the counts elsewhere
-    assert phi(pol, path3_spec, (0, 1, 9), 0) == 1
+    assert select_class(pol.weight, pol.alpha, (0, 1, 9), path3_spec.rho[0]) == 1
 
 
 def test_make_policy_defaults(triangle_spec):
@@ -191,7 +222,7 @@ def test_support_rule_randomized():
         pol = make_policy(spec, weight=W2 if rng.random() < 0.5 else W1)
         x = random_state(rng, spec.n_classes)
         i = int(rng.integers(spec.n_classes))
-        j = phi(pol, spec, x, i)
+        j = select_class(pol.weight, pol.alpha, x, spec.rho[i])
         eligible = [k for k in range(spec.n_classes)
                     if spec.rho[i][k] > 0.0 and x[k] > 0]
         if eligible:
@@ -209,7 +240,7 @@ def test_indistinguishability_above_threshold():
         neigh = [k for k in range(spec.n_classes) if spec.rho[i][k] > 0.0]
         if not neigh:
             continue
-        j = phi(pol, spec, x, i)
+        j = select_class(pol.weight, pol.alpha, x, spec.rho[i])
         assert x[j] == max(x[k] for k in neigh)
 
 

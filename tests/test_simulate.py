@@ -142,12 +142,13 @@ def test_lazy_engine_matches_kernel_distribution():
 
 def test_run_grid_and_walks(bipartite_spec):
     pol = make_policy(bipartite_spec)
-    tr = run(bipartite_spec, pol, 1000, (3, 1), sample_every=50,
-             track_walks=[{0}], keep_arrivals=True)
+    tr = run(bipartite_spec, pol, 1000, (3, 1), sample_every=50, track_walks=[{0}])
     assert tr.t_grid[0] == 0 and tr.t_grid[-1] == 1000
     assert tr.x.shape == (len(tr.t_grid), 2)
     walk = tr.walks[frozenset({0})]
-    full = coupled_walk(bipartite_spec, {0}, tr.arrivals)
+    arrivals = simulate._draw_arrivals(bipartite_spec, 1000,
+                                       np.random.default_rng(simulate._seed_seq((3, 1))))
+    full = coupled_walk(bipartite_spec, {0}, arrivals)
     np.testing.assert_array_equal(walk, full[tr.t_grid])
     # the class-one count dominates its walk at every sampled time
     assert np.all(tr.x[:, 0] >= walk)

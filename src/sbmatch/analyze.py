@@ -86,11 +86,14 @@ class StationaryEstimate:
     mean_sup_norm: float
     residual: float
     boundary_mass: float
-    pi_even: np.ndarray
-    pi_odd: np.ndarray
     even_sum: float
     odd_sum: float
     iterations: int  # BiCGSTAB iterations, summed over its runs
+
+
+def _parity_component(chain: TruncatedChain, pi: np.ndarray, l: int) -> np.ndarray:
+    """pi_l = 2 pi on the states of parity l and 0 elsewhere."""
+    return np.where(chain.parity == l, 2.0 * pi, 0.0)
 
 
 def stationary(chain: TruncatedChain) -> StationaryEstimate:
@@ -124,18 +127,13 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
     else:
         raise ConvergenceError(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
-    even = chain.parity == 0
-    pi_even = np.where(even, 2.0 * pi, 0.0)
-    pi_odd = np.where(~even, 2.0 * pi, 0.0)
     return StationaryEstimate(
         pi=pi,
         mean_sup_norm=float(pi @ chain.sup_norms),
         residual=residual,
         boundary_mass=float(pi[chain.boundary].sum()),
-        pi_even=pi_even,
-        pi_odd=pi_odd,
-        even_sum=float(pi_even.sum()),
-        odd_sum=float(pi_odd.sum()),
+        even_sum=float(_parity_component(chain, pi, 0).sum()),
+        odd_sum=float(_parity_component(chain, pi, 1).sum()),
         iterations=iterations,
     )
 
@@ -149,9 +147,9 @@ def invariant_mean_bound(spec: ModelSpec, policy: PolicyConfig) -> float:
     if not stab.ncond:
         raise ValueError("the stationary mean bound requires a positive stability margin")
     floor_nu = min((spec.nu[i] for i in graph.selfloop_classes), default=math.inf)
+    # finite: eta is +inf only when no class is loop-free, and then every
+    # class has a self-loop
     gap = min(stab.eta, floor_nu)
-    if not math.isfinite(gap):
-        raise ValueError("degenerate model: no loopfree class and no self-loop class")
     n_plus = len(graph.selfloop_classes)
     return (1.0 + 2.0 * policy.n_star * (1.0 + gap) + 4.0 * graph.K * (1 + n_plus)) / (2.0 * gap)
 
@@ -165,8 +163,7 @@ def tv_periodic(chain: TruncatedChain, estimate: StationaryEstimate, t: int, l: 
     d[0] = 1.0  # the origin comes first
     for _ in range(2 * t + l):
         d = chain.P.T @ d
-    target = estimate.pi_even if l == 0 else estimate.pi_odd
-    return float(np.abs(d - target).sum())
+    return float(np.abs(d - _parity_component(chain, estimate.pi, l)).sum())
 
 
 @dataclass(frozen=True)

@@ -314,15 +314,14 @@ def cmd_drift(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     def chunks():
         tables = kernel.move_tables(spec, policy, "raw", args.max_norm)
         for X in ball:
-            d = kernel.drift_q_over(spec, policy, tables, X, match=match)
-            b = kernel.theorem_bound_over(spec, policy, X)
-            slack = b - d
-            passed = slack >= -kernel.INEQ_TOL
+            st = kernel.checked_over("drift", np.ones(len(X), dtype=bool),
+                                     kernel.drift_q_over(spec, policy, tables, X, match=match),
+                                     kernel.theorem_bound_over(spec, policy, X))
             seen["states"] += len(X)
-            seen["fail"] += int(np.count_nonzero(~passed))
-            status = np.where(passed, "pass", "fail").tolist()
-            yield map(row.__mod__, zip(*X.T.tolist(), d.tolist(), b.tolist(),
-                                       slack.tolist(), status))
+            seen["fail"] += int(np.count_nonzero(~st.passed))
+            status = np.where(st.passed, "pass", "fail").tolist()
+            yield map(row.__mod__, zip(*X.T.tolist(), st.lhs.tolist(), st.rhs.tolist(),
+                                       st.slack.tolist(), status))
 
     _write_chunks(args.out, header, chunks())
     print(f"drift: {seen['states']} states, {seen['fail']} failures")
@@ -388,7 +387,7 @@ def cmd_stationary(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     chain = analyze.truncate(spec, policy, cfg.analyze.cap)
     est = analyze.stationary(chain)
     bound = analyze.invariant_mean_bound(spec, policy) if stability(spec).ncond else None
-    bound_ok = (est.mean_sup_norm <= bound + 1e-9) if bound is not None else None
+    bound_ok = (est.mean_sup_norm <= bound + kernel.INEQ_TOL) if bound is not None else None
     header = [f"x_{c}" for c in spec.classes] + ["pi"]
     row = "%d," * spec.n_classes + "%.17g\n"
     blocks = (slice(k, k + SWEEP_CHUNK) for k in range(0, chain.n_states, SWEEP_CHUNK))

@@ -451,7 +451,8 @@ class StepArrays:
     passed: np.ndarray
 
 
-def _checked_over(name: str, applicable: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> StepArrays:
+def checked_over(name: str, applicable: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> StepArrays:
+    """The check lhs <= rhs, up to INEQ_TOL, at every row of the arrays."""
     slack = rhs - lhs
     return StepArrays(name, applicable, lhs, rhs, slack, slack >= -INEQ_TOL)
 
@@ -497,12 +498,12 @@ def verify_drift_chain_over(spec: ModelSpec, policy: PolicyConfig, tables,
     with np.errstate(invalid="ignore"):  # eta = inf at norm 0, where 1.0 is taken
         margin = np.where(norm == 0, 1.0, 1.0 - 2.0 * stab.eta * norm)
     return (
-        _checked_over("threshold", np.ones(n, dtype=bool), d_raw, d_hom_thr + 2.0 * ns),
-        _checked_over("selfloops", counts_ok, d_hom,
-                      d_hom_stripped + 4.0 * graph.K * len(loops) - _selfloop_sum(spec, X)),
-        _checked_over("independent", loopfree_ok & counts_ok, d_hom, d_hom_reduced + 2.0 * graph.K),
-        _checked_over("certain_match", bin_ok & counts_ok, d_hom, d_bin + 2.0 * graph.K),
-        _checked_over("margin", bin_ok & stab.ncond, d_bin, margin),
+        checked_over("threshold", np.ones(n, dtype=bool), d_raw, d_hom_thr + 2.0 * ns),
+        checked_over("selfloops", counts_ok, d_hom,
+                     d_hom_stripped + 4.0 * graph.K * len(loops) - _selfloop_sum(spec, X)),
+        checked_over("independent", loopfree_ok & counts_ok, d_hom, d_hom_reduced + 2.0 * graph.K),
+        checked_over("certain_match", bin_ok & counts_ok, d_hom, d_bin + 2.0 * graph.K),
+        checked_over("margin", bin_ok & stab.ncond, d_bin, margin),
     )
 
 

@@ -12,6 +12,7 @@ sets of that graph.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -60,16 +61,12 @@ class RootGraph:
     both are None when rho has no positive entry at all.
     """
 
-    classes: tuple
+    n_classes: int
     adjacency: tuple[tuple[bool, ...], ...]
     selfloop_classes: frozenset[int]
     loopfree_classes: frozenset[int]
     rho_min: float | None
     K: float | None
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,9 @@ def _as_prob_matrix(rho: Sequence[Sequence[float]], n: int) -> tuple[tuple[float
         for v in row:
             if not (0.0 <= v <= 1.0) or math.isnan(v):
                 raise InvalidModelError(f"rho entries must lie in [0, 1], got {v!r}")
+            if 0.0 < v < sys.float_info.min:  # K's trial peak -1 / log1p(-v) overflows
+                raise InvalidModelError(f"positive rho entries must be at least "
+                                        f"{sys.float_info.min!r}, got {v!r}")
     return out
 
 
@@ -169,7 +169,7 @@ def root_graph(spec: ModelSpec) -> RootGraph:
 
     positive = [v for row in spec.rho for v in row if v > 0.0]
     if not positive:
-        return RootGraph(spec.classes, adjacency, selfloop, loopfree, None, None)
+        return RootGraph(n, adjacency, selfloop, loopfree, None, None)
     rho_min = min(positive)
 
     # n * (1 - rho_min) ** n is log-concave, so its integer maximum sits at the
@@ -177,7 +177,7 @@ def root_graph(spec: ModelSpec) -> RootGraph:
     peak = trial_peak(rho_min)
     ns = np.array([math.floor(peak), math.ceil(peak)], dtype=float)
     K = float(np.max(ns * (1.0 - rho_min) ** ns))
-    return RootGraph(spec.classes, adjacency, selfloop, loopfree, rho_min, K)
+    return RootGraph(n, adjacency, selfloop, loopfree, rho_min, K)
 
 
 def neighborhood(graph: RootGraph, subset: Iterable[int]) -> frozenset[int]:

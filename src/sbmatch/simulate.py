@@ -72,10 +72,8 @@ def _sample_grid(T: int, sample_every: int | None) -> np.ndarray:
     if sample_every is not None:
         if sample_every < 1:
             raise ValueError("sample_every must be positive")
-        ts = list(range(0, T + 1, sample_every))
-        if ts[-1] != T:
-            ts.append(T)
-        return np.asarray(ts, dtype=np.int64)
+        ts = np.arange(0, T + 1, sample_every, dtype=np.int64)
+        return ts if ts[-1] == T else np.append(ts, T)
     # ascending and ending at T, so np.unique's result without its sort
     ts = np.linspace(0, T, num=min(T, DEFAULT_SAMPLES) + 1).astype(np.int64)
     return ts[np.append(True, ts[1:] != ts[:-1])]
@@ -131,10 +129,6 @@ class _Choice:
                           for row in spec.rho] if policy.weight is W1 else None
         self.scale = C + 1
         self.top = policy.alpha.index(max(policy.alpha))
-        # p_yes by the targeted count, one dict per distinct rho value; an
-        # entry is stored with a memo entry, so it shares the memo's bound.
-        by_rho: dict[float, dict[int, float]] = {}
-        self.p_yes = [[by_rho.setdefault(r, {}) for r in row] for row in spec.rho]
         # The cumulative arrival rates that _draw_arrivals searches, for step.
         self.cum_nu = tuple(np.cumsum(spec.nu).tolist())
 
@@ -168,15 +162,10 @@ class _Choice:
             xj = x[j]
         else:
             j, xj = self.w1_choice(key)
-        known = self.p_yes[c][j]
-        p = known.get(xj)
-        if p is None:
-            p = 1.0 - pow_int(1.0 - self.rho[c][j], xj)
         units = self.units
-        edge = (p, -units[j], self.n + j, units[c], c)
+        edge = (1.0 - pow_int(1.0 - self.rho[c][j], xj), -units[j], self.n + j, units[c], c)
         if len(self.memo) < CHOICE_MEMO_MAX:
             self.memo[key] = edge
-            known[xj] = p
         return edge
 
     def edge(self, c: int, x: Sequence[int]) -> tuple[float, int, int, int, int]:

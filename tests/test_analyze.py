@@ -179,8 +179,13 @@ def test_parity_components(tri_chain):
     assert est.even_sum == pytest.approx(1.0, abs=1e-3)
     assert est.odd_sum == pytest.approx(1.0, abs=1e-3)
     assert est.even_sum + est.odd_sum == pytest.approx(2.0, abs=1e-12)
-    assert np.all(est.pi_odd[tri_chain.parity == 0] == 0.0)
-    assert np.all(est.pi_even[tri_chain.parity == 1] == 0.0)
+    # the parity-l component of pi is 2 pi on the states of parity l, 0 elsewhere
+    d = np.zeros(tri_chain.n_states)
+    d[0] = 1.0  # the origin, then its law after one step
+    for l in (0, 1):
+        pi_l = 2.0 * est.pi * (tri_chain.parity == l)
+        assert tv_periodic(tri_chain, est, 0, l) == np.abs(d - pi_l).sum()
+        d = tri_chain.P.T @ d
     assert est.boundary_mass == pytest.approx(3.562e-4, rel=1e-2)
 
 

@@ -491,6 +491,41 @@ def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rho", [1e-320, 1e-309])
+@pytest.mark.parametrize("verb", ["ncond", "simulate", "drift", "appendix", "stationary"])
+def test_a_subnormal_rho_exits_2(tmp_path, capsys, verb, rho):
+    doc = triangle_cfg()
+    doc["model"]["rho"] = [[0.0, rho, rho], [rho, 0.0, rho], [rho, rho, 0.0]]
+    assert main(["--config", write_cfg(tmp_path, doc), "--seed", "1", verb]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and repr(rho) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_a_subnormal_rho_in_a_sweep_model_exits_2(tmp_path, capsys):
+    doc = sweep_cfg()
+    doc["sweep"]["models"][0]["model"]["rho"] = [[0.0, 1e-310, 0.3], [1e-310, 0.0, 0.3],
+                                                 [0.3, 0.3, 0.0]]
+    assert main(["--config", write_cfg(tmp_path, doc), "sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "1e-310" in err and err.count("\n") == 1
+
+
+def test_integral_float_counts_are_integers(tmp_path, capsys):
+    doc = triangle_cfg()
+    doc["run"] = {"T": 1e3, "replicas": 1, "base_seed": 3}
+    cfg = write_cfg(tmp_path, doc)
+    assert load_config(cfg).run.T == 1000
+    out = tmp_path / "sim.csv"
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) == 0
+    assert read_csv(out)[-1][1] == "1000"
+    doc["run"]["T"] = 2.5
+    assert main(["--config", write_cfg(tmp_path, doc, "half.json"), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "run.T" in err and err.count("\n") == 1
+
+
 def sweep_cfg():
     doc = triangle_cfg()
     doc["policy"] = {"weight": "w2", "alpha": ["b", "a", "c"], "n_check": 50}

@@ -52,6 +52,18 @@ def test_make_spec_rejects_probabilities_outside_unit_interval():
         make_spec(("a", "b"), (0.5, 0.5), ((0.0, 1.5), (1.5, 0.0)))
 
 
+@pytest.mark.parametrize("r", [1e-320, 5e-324])
+def test_make_spec_rejects_subnormal_rho(r):
+    # K's trial peak -1 / log1p(-r) overflows below the smallest normal float
+    with pytest.raises(InvalidModelError, match=repr(r)):
+        make_spec(("a", "b"), (0.5, 0.5), ((0.0, r), (r, 0.0)))
+
+
+def test_make_spec_accepts_the_smallest_normal_rho():
+    spec = make_spec(("a", "b"), (0.5, 0.5), ((0.0, 3e-308), (3e-308, 0.0)))
+    assert root_graph(spec).rho_min == 3e-308
+
+
 def test_make_spec_rejects_ragged_rho():
     with pytest.raises(InvalidModelError):
         make_spec(("a", "b"), (0.5, 0.5), ((0.0, 0.5), (0.5,)))

@@ -330,6 +330,15 @@ def test_run_samples_the_grid_like_the_scalar_loop(T, every):
             == (b.returns_to_zero, b.first_return, b.final_x, b.matched_total)
 
 
+@pytest.mark.parametrize("T,every", [(10**6, 1), (10**6, 7), (10, 3), (0, 1), (1, 1), (5, 10)])
+def test_sample_grid_every_step_ends_at_T(T, every):
+    ts = list(range(0, T + 1, every))
+    if ts[-1] != T:
+        ts.append(T)
+    grid = simulate._sample_grid(T, every)
+    assert grid.dtype == np.int64 and np.array_equal(grid, ts)
+
+
 def test_step_shares_the_memo(monkeypatch, triangle_spec):
     # each state misses the memo once, however many steps reach it
     calls = []

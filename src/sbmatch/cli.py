@@ -12,8 +12,9 @@ All output is deterministic: floats are printed with 17 significant digits,
 rows are sorted, and randomized verbs require an explicit seed (from the
 config or --seed; there is no clock fallback).  The exit status is 0 only
 when every asserted check passes, 1 when a check fails, and 2 on usage or
-configuration errors, an --out that cannot be opened, a sweep ball refused
-before it starts and a stationary solve that misses its residual target.
+configuration errors, an --out that cannot be opened, a sweep box refused
+before it starts, a stationary solve that misses its residual target and an
+allocation that fails.
 """
 
 from __future__ import annotations
@@ -263,28 +264,6 @@ def cmd_ncond(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-#: States per array pass of the drift and appendix sweeps and per block of
-#: stationary rows; each chunk's rows are written before the next is built,
-#: so peak memory is set by this and not by the radius or the state count.
-SWEEP_CHUNK = 320
-
-
-def _ball(n_classes: int, max_norm: int):
-    """The sweep's states {0..max_norm}^C in itertools.product order, as (n, C)
-    arrays of at most SWEEP_CHUNK rows.  A negative radius or an oversize
-    ball is refused here, before any chunk is built."""
-    if max_norm < 0:
-        raise ValueError(f"the sweep radius must be non-negative, got {max_norm}")
-    side = max_norm + 1
-    total = side ** n_classes
-    if total > kernel.BOX_MAX_STATES:
-        raise ValueError(f"the ball {{0..{max_norm}}}^{n_classes} exceeds "
-                         f"{kernel.BOX_MAX_STATES} states")
-    return (np.stack(np.unravel_index(np.arange(k, min(k + SWEEP_CHUNK, total)),
-                                      (side,) * n_classes), axis=1)
-            for k in range(0, total, SWEEP_CHUNK))
-
-
 def _policy(cfg: ScenarioConfig) -> PolicyConfig:
     return make_policy(cfg.spec, cfg.weight, alpha=cfg.alpha)
 
@@ -303,20 +282,15 @@ def cmd_drift(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec
     if not stability(spec).ncond:
         raise UsageError("drift: the certificate needs a positive stability margin")
-    policy = _policy(cfg)
-    ball = _ball(spec.n_classes, args.max_norm)
+    # negative control: matching steps flipped upward, so the sweep must then fail
+    sweep = kernel.drift_sweep(spec, _policy(cfg), args.max_norm,
+                               match=1 if args.corrupt_kernel else -1)
     header = [f"x_{c}" for c in spec.classes] + ["drift", "bound", "slack", "status"]
     row = "%d," * spec.n_classes + "%.17g,%.17g,%.17g,%s\n"
-    # negative control: matching steps flipped upward, so the sweep must then fail
-    match = 1 if args.corrupt_kernel else -1
     seen = Counter()
 
     def chunks():
-        tables = kernel.move_tables(spec, policy, "raw", args.max_norm)
-        for X in ball:
-            st = kernel.checked_over("drift", np.ones(len(X), dtype=bool),
-                                     kernel.drift_q_over(spec, policy, tables, X, match=match),
-                                     kernel.theorem_bound_over(spec, policy, X))
+        for X, st in sweep:
             seen["states"] += len(X)
             seen["fail"] += int(np.count_nonzero(~st.passed))
             status = np.where(st.passed, "pass", "fail").tolist()
@@ -330,8 +304,7 @@ def cmd_drift(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
 
 def cmd_appendix(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec
-    policy = _policy(cfg)
-    ball = _ball(spec.n_classes, args.max_norm)
+    sweep = kernel.chain_sweep(spec, _policy(cfg), args.max_norm)
     header = [f"x_{c}" for c in spec.classes] + ["step", "applicable", "lhs", "rhs", "slack", "status"]
     state = "%d," * spec.n_classes
     checked = "%s,1,%.17g,%.17g,%.17g,%s\n"  # step, lhs, rhs, slack, status
@@ -346,9 +319,7 @@ def cmd_appendix(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
         return (checked % v if app else skipped for app, v in zip(st.applicable.tolist(), values))
 
     def chunks():
-        tables = kernel.chain_tables(spec, policy, args.max_norm)
-        for X in ball:
-            steps = kernel.verify_drift_chain_over(spec, policy, tables, X)
+        for X, steps in sweep:
             for st in steps:
                 seen["applicable"] += int(np.count_nonzero(st.applicable))
                 seen["fail"] += int(np.count_nonzero(st.applicable & ~st.passed))
@@ -390,7 +361,8 @@ def cmd_stationary(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     bound_ok = (est.mean_sup_norm <= bound + kernel.INEQ_TOL) if bound is not None else None
     header = [f"x_{c}" for c in spec.classes] + ["pi"]
     row = "%d," * spec.n_classes + "%.17g\n"
-    blocks = (slice(k, k + SWEEP_CHUNK) for k in range(0, chain.n_states, SWEEP_CHUNK))
+    blocks = (slice(k, k + kernel.SWEEP_CHUNK)
+              for k in range(0, chain.n_states, kernel.SWEEP_CHUNK))
     _write_chunks(args.out, header, (map(row.__mod__, zip(*chain.states[b].T.tolist(),
                                                           est.pi[b].tolist())) for b in blocks))
     doc = {
@@ -469,6 +441,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (ValueError, analyze.ConvergenceError) as exc:  # model, policy, kernel errors too
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation it refused
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,8 @@ box_moves is the per-arrival-class pass over an (n, C) array of states,
 read from the weight and miss tables of move_tables.  transition_table folds
 it into the truncated kernel, and drift_q_over, theorem_bound_over and
 verify_drift_chain_over sum it into the certificate sweeps, bit for bit as
-the scalar functions of one state, which stay as their oracles.
+the scalar functions of one state, which stay as their oracles.  drift_sweep
+and chain_sweep are the sweeps: those sums and their checks over a box.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .model import ModelSpec, root_graph, stability
-from .policy import (WEIGHT_TOL, PolicyConfig, State, select_class, support, sup_norm,
-                     sup_norm_over)
+from .policy import WEIGHT_TOL, PolicyConfig, State, select_class, support, sup_norm
 
 # scipy is imported inside the functions that use it, so that importing the
 # package does not load it (tests/test_import.py).
@@ -187,7 +187,7 @@ def theorem_bound(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) -> fl
     const = 1.0 + 2.0 * policy.n_star + 4.0 * graph.K * (1 + n_plus)
     eta_term = 0.0
     if graph.loopfree_classes:
-        eta_term = 2.0 * stab.eta * sup_norm_over(x, graph.loopfree_classes)
+        eta_term = 2.0 * stab.eta * max(x[i] for i in graph.loopfree_classes)
     loop_term = sum(2.0 * x[i] * spec.nu[i]
                     for i in graph.selfloop_classes if x[i] >= policy.n_star)
     return -eta_term - loop_term + const
@@ -348,8 +348,31 @@ def verify_drift_chain(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) 
     return ChainReport(state=x, steps=tuple(steps))
 
 
-#: Bound on the number of states in the box {0..cap}^C.
+#: Bound on the number of states in the box {0..R}^C.
 BOX_MAX_STATES = 2_000_000
+#: States per chunk of drift_sweep and chain_sweep and per block of stationary
+#: rows; each chunk's rows are written before the next is built, so peak
+#: memory is set by this and not by the radius or the state count.
+SWEEP_CHUNK = 320
+
+
+def _box_side(n_classes: int, radius: int) -> int:
+    """radius + 1, once the box {0..radius}^C is checked against BOX_MAX_STATES."""
+    if radius < 0:
+        raise KernelError(f"the radius must be non-negative, got {radius}")
+    if (radius + 1) ** n_classes > BOX_MAX_STATES:
+        raise KernelError(f"the box {{0..{radius}}}^{n_classes} exceeds {BOX_MAX_STATES} states")
+    return radius + 1
+
+
+def _ball(n_classes: int, radius: int):
+    """The box {0..radius}^C in itertools.product order, as (n, C) arrays of
+    at most SWEEP_CHUNK rows; the box is checked before any chunk is built."""
+    side = _box_side(n_classes, radius)
+    total = side ** n_classes
+    return (np.stack(np.unravel_index(np.arange(k, min(k + SWEEP_CHUNK, total)),
+                                      (side,) * n_classes), axis=1)
+            for k in range(0, total, SWEEP_CHUNK))
 
 
 def move_tables(spec: ModelSpec, policy: PolicyConfig, variant: str,
@@ -451,7 +474,7 @@ class StepArrays:
     passed: np.ndarray
 
 
-def checked_over(name: str, applicable: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> StepArrays:
+def _checked_over(name: str, applicable: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> StepArrays:
     """The check lhs <= rhs, up to INEQ_TOL, at every row of the arrays."""
     slack = rhs - lhs
     return StepArrays(name, applicable, lhs, rhs, slack, slack >= -INEQ_TOL)
@@ -498,13 +521,42 @@ def verify_drift_chain_over(spec: ModelSpec, policy: PolicyConfig, tables,
     with np.errstate(invalid="ignore"):  # eta = inf at norm 0, where 1.0 is taken
         margin = np.where(norm == 0, 1.0, 1.0 - 2.0 * stab.eta * norm)
     return (
-        checked_over("threshold", np.ones(n, dtype=bool), d_raw, d_hom_thr + 2.0 * ns),
-        checked_over("selfloops", counts_ok, d_hom,
-                     d_hom_stripped + 4.0 * graph.K * len(loops) - _selfloop_sum(spec, X)),
-        checked_over("independent", loopfree_ok & counts_ok, d_hom, d_hom_reduced + 2.0 * graph.K),
-        checked_over("certain_match", bin_ok & counts_ok, d_hom, d_bin + 2.0 * graph.K),
-        checked_over("margin", bin_ok & stab.ncond, d_bin, margin),
+        _checked_over("threshold", np.ones(n, dtype=bool), d_raw, d_hom_thr + 2.0 * ns),
+        _checked_over("selfloops", counts_ok, d_hom,
+                      d_hom_stripped + 4.0 * graph.K * len(loops) - _selfloop_sum(spec, X)),
+        _checked_over("independent", loopfree_ok & counts_ok, d_hom, d_hom_reduced + 2.0 * graph.K),
+        _checked_over("certain_match", bin_ok & counts_ok, d_hom, d_bin + 2.0 * graph.K),
+        _checked_over("margin", bin_ok & stab.ncond, d_bin, margin),
     )
+
+
+def drift_sweep(spec: ModelSpec, policy: PolicyConfig, radius: int, match: int = -1):
+    """Per chunk X of _ball, X and the check of drift_q_over (match as there)
+    against theorem_bound_over.  The box is checked on the call, the raw
+    tables built when the first chunk is asked for."""
+    ball = _ball(spec.n_classes, radius)
+
+    def chunks():
+        tables = move_tables(spec, policy, "raw", radius)
+        for X in ball:
+            yield X, _checked_over("drift", np.ones(len(X), dtype=bool),
+                                   drift_q_over(spec, policy, tables, X, match=match),
+                                   theorem_bound_over(spec, policy, X))
+
+    return chunks()
+
+
+def chain_sweep(spec: ModelSpec, policy: PolicyConfig, radius: int):
+    """Per chunk X of _ball, X and verify_drift_chain_over's steps, checked and
+    built as in drift_sweep."""
+    ball = _ball(spec.n_classes, radius)
+
+    def chunks():
+        tables = chain_tables(spec, policy, radius)
+        for X in ball:
+            yield X, verify_drift_chain_over(spec, policy, tables, X)
+
+    return chunks()
 
 
 def transition_table(spec: ModelSpec, policy: PolicyConfig,
@@ -529,12 +581,8 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
     arrival classes, and the fold sums increments over descending classes
     (the order of the sorted row).
     """
-    if cap < 0:
-        raise KernelError("cap must be non-negative")
     C = spec.n_classes
-    side = cap + 1
-    if side ** C > BOX_MAX_STATES:
-        raise KernelError(f"the box {{0..{cap}}}^{C} exceeds {BOX_MAX_STATES} states")
+    side = _box_side(C, cap)
     import scipy.sparse as sp
     from scipy.sparse.csgraph import breadth_first_order
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,11 +35,6 @@ def support(x: State) -> frozenset[int]:
 
 def sup_norm(x: State) -> int:
     return max(x) if x else 0
-
-
-def sup_norm_over(x: State, subset: Iterable[int]) -> int:
-    """max of x over a class subset, 0 for the empty subset."""
-    return max((x[i] for i in subset), default=0)
 
 
 @dataclass(frozen=True)

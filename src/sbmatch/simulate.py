@@ -9,7 +9,8 @@ for bit (0 when x(j) = 0 or rho(c, j) = 0); otherwise it joins its own
 class.  (The full-graph engine, which materializes every node and edge
 indicator, is a test oracle in tests/conftest.py.)
 
-run, final_states and step share one per-arrival core, SimState.advance.
+run, final_states and step share one per-arrival core, SimState.advance, on
+a path that new_sim starts from its seed.
 Every state (c, x) has one integer code: c in the low KEY_BITS-bit field and
 x(i) in field i + 1.  A memo maps the code to the state's edge: the match
 probability, and the code delta and move of a match and of a miss.  A miss
@@ -327,9 +328,8 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     on the same arrival stream and sampled on the same grid.
     """
     _check_path_length(T)  # before the T draws are made
-    rng = np.random.default_rng(_seed_seq(seed))
-    arrivals = _draw_arrivals(spec, T, rng)
-    path = SimState(spec, rng)
+    path = new_sim(spec, seed)
+    arrivals = _draw_arrivals(spec, T, path.rng)
     C = spec.n_classes
 
     grid = _sample_grid(T, sample_every)
@@ -382,9 +382,8 @@ def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
     choice = _shared_choice(spec, policy)
     out = np.zeros((replicas, spec.n_classes), dtype=np.int64)
     for rep in range(replicas):
-        rng = np.random.default_rng(_seed_seq((base_seed, rep)))
-        path = SimState(spec, rng)
-        for _ in _serve(path, choice, _draw_arrivals(spec, T, rng)):
+        path = new_sim(spec, (base_seed, rep))
+        for _ in _serve(path, choice, _draw_arrivals(spec, T, path.rng)):
             pass
         out[rep] = path.x
     return out

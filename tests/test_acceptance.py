@@ -28,9 +28,7 @@ from sbmatch import (
     truncate,
     tv_periodic,
 )
-from sbmatch.cli import _ball as ball_chunks
-from sbmatch.kernel import (INEQ_TOL, chain_tables, drift_q_over, move_tables, theorem_bound_over,
-                            verify_drift_chain_over)
+from sbmatch.kernel import chain_sweep, drift_sweep
 from sbmatch.policy import W1, W2
 
 from conftest import enumerate_exact_distribution, random_model, random_state
@@ -107,12 +105,9 @@ def test_criterion_2_drift_bound_sweep():
     checked = 0
     bad = 0
     for _, spec in bundled():
-        pol = make_policy(spec)
-        tables = move_tables(spec, pol, "raw", 20)
-        for X in ball_chunks(spec.n_classes, 20):
-            slack = theorem_bound_over(spec, pol, X) - drift_q_over(spec, pol, tables, X)
+        for X, st in drift_sweep(spec, make_policy(spec), 20):
             checked += len(X)
-            bad += int(np.count_nonzero(~(slack >= -INEQ_TOL)))
+            bad += int(np.count_nonzero(~st.passed))
     elapsed = time.monotonic() - t0
     report(2, bad == 0 and elapsed < 60.0,
            f"drift certificate on {checked} states (three scenarios, "
@@ -126,10 +121,8 @@ def test_criterion_3_inequality_chain_sweep():
     applicable = 0
     bad = 0
     for _, spec in bundled():
-        pol = make_policy(spec)
-        tables = chain_tables(spec, pol, 15)
-        for X in ball_chunks(spec.n_classes, 15):
-            for st in verify_drift_chain_over(spec, pol, tables, X):
+        for _, steps in chain_sweep(spec, make_policy(spec), 15):
+            for st in steps:
                 applicable += int(np.count_nonzero(st.applicable))
                 bad += int(np.count_nonzero(st.applicable & ~st.passed))
     elapsed = time.monotonic() - t0

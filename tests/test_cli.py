@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sbmatch import analyze, simulate
+from sbmatch import analyze, kernel, simulate
 from sbmatch.cli import ConfigError, load_config, main
 from sbmatch.model import ENUMERATION_CAP, make_spec, stability, walk_spec
 from sbmatch.policy import make_policy
@@ -239,6 +239,43 @@ def test_oversize_sweep_ball_exits_2_before_the_sweep(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "exceeds" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["drift", "appendix"])
+def test_a_sweep_one_state_past_the_box_bound_exits_2(tmp_path, capsys, monkeypatch, verb):
+    monkeypatch.setattr(kernel, "BOX_MAX_STATES", 64)
+    doc = {"model": {"classes": ["a", "b"], "nu": ["3/5", "2/5"],
+                     "rho": [[0.5, 0.5], [0.5, 0.0]]}}
+    cfg, out = write_cfg(tmp_path, doc), tmp_path / "sweep.csv"
+    assert main(["--config", cfg, "--out", str(out), "--max-norm", "7", verb]) in (0, 1)
+    rows = read_csv(out)[1:]
+    assert len({tuple(r[:2]) for r in rows}) == 64
+    out.unlink()
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", str(out), "--max-norm", "8", verb]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the box {0..8}^2 exceeds 64 states\n"
+    assert captured.out == "" and not out.exists()
+
+
+# numpy's message when it cannot allocate, and a MemoryError without one
+OUT_OF_MEMORY = [("Unable to allocate 32.0 GiB for an array with shape (4294967295,) "
+                  "and data type float64", None), ("", "out of memory")]
+
+
+@pytest.mark.parametrize("message,shown", OUT_OF_MEMORY, ids=["numpy", "bare"])
+@pytest.mark.parametrize("verb", ["simulate", "sweep", "stationary"])
+def test_an_allocation_failure_exits_2(tmp_path, capsys, monkeypatch, verb, message, shown):
+    def refused(*args):
+        raise MemoryError(message)
+
+    if verb == "stationary":  # the box of the truncated chain
+        monkeypatch.setattr(analyze, "transition_table", refused)
+    else:  # the T arrival classes of a path
+        monkeypatch.setattr(simulate, "_draw_arrivals", refused)
+    out = tmp_path / "out.csv"
+    assert main(["--config", write_cfg(tmp_path, sweep_cfg()), "--out", str(out), verb]) == 2
+    assert capsys.readouterr().err == f"error: {shown or message}\n"
 
 
 def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):

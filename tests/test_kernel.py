@@ -29,9 +29,10 @@ from sbmatch import (
     transition_row,
     verify_drift_chain,
 )
-from sbmatch import scenarios
-from sbmatch.kernel import (INEQ_TOL, chain_tables, drift_q_over, move_tables, pow_int,
-                            theorem_bound_over, transition_table, verify_drift_chain_over)
+from sbmatch import kernel, scenarios, truncate
+from sbmatch.kernel import (INEQ_TOL, chain_sweep, chain_tables, drift_q_over, drift_sweep,
+                            move_tables, pow_int, theorem_bound_over, transition_table,
+                            verify_drift_chain_over)
 from sbmatch.model import root_graph, stability
 
 from conftest import (random_model, random_state, scalar_corrupted_drift,
@@ -439,3 +440,25 @@ def test_transition_table_peak_memory_per_box_state():
     finally:
         tracemalloc.stop()
     assert peak <= 600 * (cap + 1) ** spec.n_classes
+
+
+# Every entry point that builds or walks the box {0..R}^C, called at radius R.
+BOX_ENTRY_POINTS = {"transition_table": transition_table, "truncate": truncate,
+                    "propagate_distribution": propagate_distribution,
+                    "reachable_check": reachable_check,
+                    "drift_sweep": drift_sweep, "chain_sweep": chain_sweep}
+
+
+@pytest.mark.parametrize("entry", BOX_ENTRY_POINTS)
+def test_the_box_bound_at_its_edge(monkeypatch, entry):
+    # a matches itself and b, b only a: margin 1/5, from the set {b}
+    spec = make_spec(("a", "b"), (Fraction(3, 5), Fraction(2, 5)), ((0.5, 0.5), (0.5, 0.0)))
+    pol = make_policy(spec, W1)
+    call = BOX_ENTRY_POINTS[entry]
+    monkeypatch.setattr(kernel, "BOX_MAX_STATES", 64)
+    accepted = call(spec, pol, 7)  # 8^2 = 64 states
+    if entry.endswith("_sweep"):
+        assert sum(len(X) for X, _ in accepted) == 64
+    with pytest.raises(KernelError) as exc:
+        call(spec, pol, 8)  # 9^2 = 81 states; a sweep refuses it before any chunk is asked for
+    assert str(exc.value) == "the box {0..8}^2 exceeds 64 states"

@@ -71,13 +71,11 @@ from .simulate import (
 )
 from .analyze import (
     ConvergenceError,
-    MetricsSummary,
     StationaryEstimate,
     SweepRow,
     TruncatedChain,
     eta_sweep,
     invariant_mean_bound,
-    metrics,
     stationary,
     truncate,
     tv_periodic,

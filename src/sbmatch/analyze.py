@@ -1,4 +1,4 @@
-"""Stationary analysis of the count chain and summaries of simulation runs.
+"""Stationary analysis of the count chain and the margin-versus-growth sweep.
 
 The chain is truncated to the sup-norm ball reachable from the origin;
 arrivals that would leave the ball are rejected in place, which shows up as
@@ -7,7 +7,9 @@ solve: pi(origin) is pinned to 1, the origin's balance equation is dropped,
 and BiCGSTAB solves the rest of (I - P^T) pi = 0.  The chain is periodic
 with period two away from the boundary (each arrival changes the total
 count by one), so the per-parity components of the stationary law are
-exposed for convergence diagnostics.
+exposed for convergence diagnostics.  eta_sweep sets each model's margin
+beside the growth, perfect rate and return time of its simulated paths,
+which it reads off one path at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .kernel import transition_table
 from .kernel import transition_row  # noqa: F401
 from .model import ModelSpec, root_graph, stability
 from .policy import W1, PolicyConfig, WeightFunction, make_policy, sup_norm
-from .simulate import Trajectory, run
+from .simulate import run
 
 # scipy is imported inside the functions that use it, so that importing the
 # package does not load it (tests/test_import.py).
@@ -167,66 +169,6 @@ def tv_periodic(chain: TruncatedChain, estimate: StationaryEstimate, t: int, l: 
 
 
 @dataclass(frozen=True)
-class ReplicaMetrics:
-    replica: int
-    growth: float
-    matched_fraction: float
-    perfect_rate: float
-    returns_to_zero: int
-    first_return: int | None
-    ergodic_avg_final: float
-
-
-@dataclass(frozen=True, eq=False)
-class MetricsSummary:
-    replicas: tuple[ReplicaMetrics, ...]
-    growth_values: np.ndarray
-    growth_mean: float
-    perfect_rate: float
-    matched_fraction_mean: float
-    n_returned: int
-    mean_return_time: float  # nan when no replica returned
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.replicas)
-
-
-def metrics(trajectories: Sequence[Trajectory]) -> MetricsSummary:
-    """Per-replica and pooled summary statistics of simulation runs."""
-    if not trajectories:
-        raise ValueError("no trajectories given")
-    rows = []
-    returns = []
-    for k, tr in enumerate(trajectories):
-        if tr.T < 1:
-            raise ValueError(f"metrics need at least one arrival, got T = {tr.T}")
-        live = tr.t_grid > 0
-        perfect_rate = float(tr.perfect[live].mean()) if live.any() else 0.0
-        rows.append(ReplicaMetrics(
-            replica=k,
-            growth=sup_norm(tr.final_x) / tr.T,
-            matched_fraction=2.0 * tr.matched_total / tr.T,
-            perfect_rate=perfect_rate,
-            returns_to_zero=tr.returns_to_zero,
-            first_return=tr.first_return,
-            ergodic_avg_final=float(tr.ergodic_avg[-1]),
-        ))
-        if tr.first_return is not None:
-            returns.append(tr.first_return)
-    growth = np.asarray([r.growth for r in rows])
-    return MetricsSummary(
-        replicas=tuple(rows),
-        growth_values=growth,
-        growth_mean=float(growth.mean()),
-        perfect_rate=float(np.mean([r.perfect_rate for r in rows])),
-        matched_fraction_mean=float(np.mean([r.matched_fraction for r in rows])),
-        n_returned=len(returns),
-        mean_return_time=float(np.mean(returns)) if returns else math.nan,
-    )
-
-
-@dataclass(frozen=True)
 class SweepRow:
     id: str
     eta: float
@@ -242,20 +184,26 @@ def eta_sweep(entries: Sequence[tuple[str, ModelSpec]], T: int, base_seed: int,
 
     Each model gets its own policy, with the default tie-break alpha (the
     models have their own classes) and a threshold from its own rho_min, and
-    its own seed block (base_seed, row, replica).
+    its own seed block (base_seed, row, replica).  Each path is reduced to
+    its growth sup_norm(x_T) / T, its perfect rate past the start and its
+    first return before the next one runs; a row holds their means over the
+    replicas (mean_return_time is nan when no replica returned).
     """
+    if T < 1 or replicas < 1:
+        raise ValueError(f"a sweep needs T and replicas of at least 1, "
+                         f"got T = {T}, replicas = {replicas}")
     rows: list[SweepRow] = []
     for row_idx, (label, spec) in enumerate(entries):
         stab = stability(spec)
         policy = make_policy(spec, weight)
-        trajs = [run(spec, policy, T, (base_seed, row_idx, r)) for r in range(replicas)]
-        summary = metrics(trajs)
-        rows.append(SweepRow(
-            id=label,
-            eta=stab.eta,
-            ncond=stab.ncond,
-            growth=summary.growth_mean,
-            perfect_rate=summary.perfect_rate,
-            mean_return_time=summary.mean_return_time,
-        ))
+        growth, perfect, returns = [], [], []
+        for r in range(replicas):
+            tr = run(spec, policy, T, (base_seed, row_idx, r))
+            growth.append(sup_norm(tr.final_x) / T)
+            perfect.append(float(tr.perfect[tr.t_grid > 0].mean()))
+            if tr.first_return is not None:
+                returns.append(tr.first_return)
+        rows.append(SweepRow(id=label, eta=stab.eta, ncond=stab.ncond,
+                             growth=float(np.mean(growth)), perfect_rate=float(np.mean(perfect)),
+                             mean_return_time=float(np.mean(returns)) if returns else math.nan))
     return rows

@@ -14,7 +14,8 @@ config or --seed; there is no clock fallback).  The exit status is 0 only
 when every asserted check passes, 1 when a check fails, and 2 on usage or
 configuration errors, an --out that cannot be opened, a sweep box refused
 before it starts, a stationary solve that misses its residual target and an
-allocation that fails.
+allocation that fails.  A verb that raises after its --out file is open
+removes the file; one that exits 1 keeps it whole.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from functools import cache
@@ -169,10 +171,9 @@ def load_config(path: str) -> ScenarioConfig:
     alpha = _alpha_from_labels(spec, pol["alpha"]) if "alpha" in pol else None
 
     rn = _typed(raw.get("run", {}), dict, "run")
-    walk_set = None
-    if rn.get("walk_set"):
+    walk_set, labels = None, rn.get("walk_set")
+    if labels is not None and _typed(labels, list, "run.walk_set"):  # null and [] walk nothing
         try:
-            labels = _typed(rn["walk_set"], list, "walk_set")
             walk_set = tuple(spec.classes.index(lb) for lb in labels)
         except ValueError as exc:
             raise ConfigError(f"walk_set labels must be class labels: {exc}") from exc
@@ -211,13 +212,22 @@ def load_config(path: str) -> ScenarioConfig:
     )
 
 
+@contextmanager
 def _output(path: str | None):
+    """stdout, or the file at path, removed again if the body raises."""
     if path is None or path == "-":
-        return nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"error: cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _write_chunks(path: str | None, header: list[str], chunks) -> None:

@@ -1,5 +1,7 @@
 """Truncated-chain solver, stationary summaries, and the sweep driver."""
 
+import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +13,11 @@ from sbmatch import (
     invariant_mean_bound,
     kernel,
     make_policy,
-    metrics,
     reachable_check,
+    run,
     run_replicas,
     scenarios,
+    stability,
     stationary,
     truncate,
     tv_periodic,
@@ -219,23 +222,21 @@ def test_stationary_mean_within_bound(tri_chain):
     assert est.mean_sup_norm <= bound
 
 
-def test_metrics_summary_fields(triangle_spec):
-    pol = make_policy(triangle_spec)
-    trajs = run_replicas(triangle_spec, pol, 2000, 17, 5, sample_every=100)
-    ms = metrics(trajs)
-    assert ms.n_replicas == 5
-    assert len(ms.replicas) == 5
-    for k, r in enumerate(ms.replicas):
-        assert r.replica == k
-        assert 0.0 <= r.matched_fraction <= 1.0
-        assert 0.0 <= r.perfect_rate <= 1.0
-        assert r.growth == max(trajs[k].final_x) / trajs[k].T
-    assert ms.growth_mean == pytest.approx(float(ms.growth_values.mean()))
-    assert ms.n_returned == sum(1 for t in trajs if t.first_return is not None)
-    if ms.n_returned:
-        assert ms.mean_return_time > 0.0
-    with pytest.raises(ValueError):
-        metrics([])
+@pytest.mark.parametrize("T", [1, 2000])  # at T = 1 no path returns to the origin
+def test_eta_sweep_columns_are_means_over_the_paths(T):
+    entries = [("triangle", scenarios.triangle()), ("tilted", scenarios.bipartite(Fraction(3, 5)))]
+    base_seed, replicas = 17, 5
+    rows = eta_sweep(entries, T, base_seed, replicas)
+    for row_idx, ((label, spec), row) in enumerate(zip(entries, rows)):
+        pol = make_policy(spec)
+        trajs = [run(spec, pol, T, (base_seed, row_idx, r)) for r in range(replicas)]
+        returns = [tr.first_return for tr in trajs if tr.first_return is not None]
+        stab = stability(spec)
+        np.testing.assert_equal(astuple(row), (
+            label, stab.eta, stab.ncond,
+            float(np.mean([max(tr.final_x) / T for tr in trajs])),
+            float(np.mean([tr.perfect[tr.t_grid > 0].mean() for tr in trajs])),
+            float(np.mean(returns)) if returns else math.nan))
 
 
 def test_ergodic_average_matches_stationary_mean():

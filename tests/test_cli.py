@@ -200,7 +200,8 @@ def test_drift_sweep_and_negative_control(tmp_path, capsys):
     assert main(["--config", cfg, "--max-norm", "5",
                  "--out", str(tmp_path / "bad.csv"), "drift", "--corrupt-kernel"]) == 1
     assert "failures" in capsys.readouterr().out
-    assert any(r[-1] == "fail" for r in read_csv(tmp_path / "bad.csv")[1:])
+    rows = read_csv(tmp_path / "bad.csv")  # a failed check keeps its whole file
+    assert len(rows) == 1 + 6 ** 3 and any(r[-1] == "fail" for r in rows[1:])
 
 
 @pytest.mark.parametrize("verb", ["ncond", "appendix", "simulate", "stationary", "sweep"])
@@ -276,6 +277,25 @@ def test_an_allocation_failure_exits_2(tmp_path, capsys, monkeypatch, verb, mess
     out = tmp_path / "out.csv"
     assert main(["--config", write_cfg(tmp_path, sweep_cfg()), "--out", str(out), verb]) == 2
     assert capsys.readouterr().err == f"error: {shown or message}\n"
+
+
+@pytest.mark.parametrize("verb", ["simulate", "sweep"])
+def test_a_failure_on_the_second_replica_leaves_no_out_file(tmp_path, capsys, monkeypatch, verb):
+    draw, paths = simulate._draw_arrivals, []
+
+    def second_refused(*args):
+        paths.append(args)
+        if len(paths) == 2:
+            raise MemoryError("out of memory on the second path")
+        return draw(*args)
+
+    monkeypatch.setattr(simulate, "_draw_arrivals", second_refused)
+    doc = sweep_cfg()
+    doc["sweep"]["replicas"] = 2
+    out = tmp_path / "out.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), verb]) == 2
+    assert capsys.readouterr().err == "error: out of memory on the second path\n"
+    assert len(paths) == 2 and not out.exists()
 
 
 def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
@@ -473,6 +493,41 @@ def test_simulate_memory_does_not_grow_with_the_replicas(tmp_path):
     assert peaks[1] - peaks[0] < 500_000, peaks
 
 
+def test_sweep_memory_does_not_grow_with_the_replicas(tmp_path):
+    # each path is reduced to its three numbers before the next one runs: 20
+    # and 200 replicas must peak alike (holding the paths would cost about
+    # 30 kB per replica on the default grid)
+    doc = sweep_cfg()
+    doc["policy"] = {"weight": "w1"}
+    doc["sweep"].update(T=2000, replicas=20)
+    out = str(tmp_path / "sweep.csv")
+    main(["--config", write_cfg(tmp_path, doc), "--out", out, "sweep"])  # warm the caches
+    peaks = []
+    for replicas in (20, 200):
+        doc["sweep"]["replicas"] = replicas
+        cfg = write_cfg(tmp_path, doc)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["--config", cfg, "--out", out, "sweep"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 500_000, peaks
+
+
+@pytest.mark.parametrize("key", ["T", "replicas"])
+def test_an_empty_sweep_exits_2_before_it_opens_out(tmp_path, capsys, key):
+    doc = sweep_cfg()
+    doc["sweep"][key] = 0
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a sweep needs T and replicas of at least 1")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_refuses_an_overlong_path_before_it_opens_out(tmp_path, capsys):
     doc = triangle_cfg()
     doc["run"]["T"] = 2**32
@@ -514,6 +569,21 @@ def test_load_config_refuses_bad_solver_and_walk_set(tmp_path, section, key, val
     doc[section][key] = value
     with pytest.raises(ConfigError, match=match):
         load_config(write_cfg(tmp_path, doc))
+
+
+@pytest.mark.parametrize("value", [0, False, "", {}, 1, "a", {"a": 1}])
+def test_load_config_refuses_a_walk_set_that_is_not_a_list(tmp_path, value):
+    doc = sweep_cfg()
+    doc["run"]["walk_set"] = value
+    with pytest.raises(ConfigError, match=r"^run\.walk_set must be a list, got "):
+        load_config(write_cfg(tmp_path, doc))
+
+
+@pytest.mark.parametrize("value", [None, []])
+def test_a_null_or_empty_walk_set_walks_nothing(tmp_path, value):
+    doc = sweep_cfg()
+    doc["run"]["walk_set"] = value
+    assert load_config(write_cfg(tmp_path, doc)).run.walk_set is None
 
 
 @pytest.mark.parametrize("section,key,value", [

@@ -173,10 +173,10 @@ def load_config(path: str) -> ScenarioConfig:
     rn = _typed(raw.get("run", {}), dict, "run")
     walk_set, labels = None, rn.get("walk_set")
     if labels is not None and _typed(labels, list, "run.walk_set"):  # null and [] walk nothing
-        try:
-            walk_set = tuple(spec.classes.index(lb) for lb in labels)
-        except ValueError as exc:
-            raise ConfigError(f"walk_set labels must be class labels: {exc}") from exc
+        for lb in labels:
+            if lb not in spec.classes:
+                raise ConfigError(f"run.walk_set label {lb!r} is not a class label")
+        walk_set = tuple(spec.classes.index(lb) for lb in labels)
         try:
             walk_spec(spec, walk_set)
         except InvalidModelError as exc:

@@ -11,21 +11,24 @@ indicator, is a test oracle in tests/conftest.py.)
 
 run, final_states and step share one per-arrival core, SimState.advance, on
 a path that new_sim starts from its seed.
-Every state (c, x) has one integer code: c in the low KEY_BITS-bit field and
-x(i) in field i + 1.  A memo maps the code to the state's edge: the match
-probability, and the code delta and move of a match and of a miss.  A miss
-builds the edge from select_class's choice (under W1, from the integer rule
-that equals it).  So each arrival costs one memo lookup, one compare, one
-add and one entry on a move log; run then works out the grid samples, the
-matched pairs (t - sum x) / 2, the running sup-norm sum behind ergodic_avg,
-the returns to zero and the final counts from the log with numpy, one block
-at a time, so that memory stays bounded by the arrival array and one block.
+Every state x has one integer code, x(i) in field i of KEY_BITS bits,
+and, once a path visits it, a dense id: its C edges, one per arrival class,
+sit in C consecutive slots of one flat table.  An edge holds the match
+probability, and the successor's table base and the move of a match and of
+a miss; a miss of the table builds it from select_class's choice (under W1,
+from the integer rule that equals it) and enters both successors.  So each
+arrival costs one list index, one compare and one entry on a move log; run
+then works out the grid samples, the matched pairs (t - sum x) / 2, the
+running sup-norm sum behind ergodic_avg, the returns to zero and the final
+counts from the log with numpy, one block at a time, so that memory stays
+bounded by the arrival array and one block.
 A count never exceeds the arrivals served, so a path is refused past
 2**KEY_BITS - 1 arrivals.  Every engine call on one (model, policy) pair
-shares one memo, kept by an lru_cache of CHOICE_MEMOS memos for the life of
-the process.  A memo holds at most CHOICE_MEMO_MAX entries, past which edges
-are computed without being stored, so the memos hold at most
-CHOICE_MEMOS * CHOICE_MEMO_MAX entries in all.  step draws each arrival's
+shares one table, kept by an lru_cache of CHOICE_MEMOS tables for the life
+of the process.  A table holds at most CHOICE_MEMO_MAX slots: when a miss
+could pass that, the table is emptied in place and refilled from the
+current state (a flush), so the tables hold at most
+CHOICE_MEMOS * CHOICE_MEMO_MAX slots in all.  step draws each arrival's
 class and then its probe when it is called, so its stream interleaves the
 two.
 
@@ -48,12 +51,13 @@ from .kernel import pow_int
 from .model import ModelSpec, neighborhood, root_graph, walk_spec
 from .policy import W1, PolicyConfig, State, select_class
 
-# Most entries one memo of edges, code of (c, x) -> edge, may hold.
-CHOICE_MEMO_MAX = 1 << 16
-# Memos of edges kept at once, one per (model, policy) pair.
+# Most slots, C per state, one table of edges may hold.  A full table takes
+# about 16 MB under CPython 3.11 (about 120 bytes a slot).
+CHOICE_MEMO_MAX = 1 << 17
+# Tables of edges kept at once, one per (model, policy) pair.
 CHOICE_MEMOS = 8
-# Width of each field of a memo key; a path serves fewer than 2**KEY_BITS
-# arrivals, so no count overflows its field.
+# Width of each field of a state's code; a path serves fewer than
+# 2**KEY_BITS arrivals, so no count overflows its field.
 KEY_BITS = 32
 _FIELD = (1 << KEY_BITS) - 1
 # Arrivals per block of probe draws, move log and run's bookkeeping.
@@ -91,33 +95,45 @@ def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndar
 
 
 class _Choice:
-    """The edges of the (c, x) states, memoised on their code
-    c + sum of x(i) * units[i], where units[i] = 2**(KEY_BITS * (i + 1)).
+    """The edges of the (c, x) states, in a flat table indexed by dense
+    state ids.
 
-    An edge is (p_yes, d_yes, m_yes, d_no, m_no): the probability that an
-    arrival of class c matches in state x, and the code delta and move of a
-    match and of a miss.  Move c is a count added to class c; move C + j is
-    a count taken from class j, the targeted class, which m_yes names even
-    when p_yes is 0.
+    A state x that a path starts from, or that an edge leads to, gets the
+    next C slots of the table, from its base on; the edge of (c, x) sits in
+    slot base + c, None until a miss builds it.  The state's identity stays its code, sum of x(i) * units[i]
+    with units[i] = 2**(KEY_BITS * i): ids maps a code to its base and
+    codes[base // C] is the code of a base.
+
+    An edge is (p_yes, base_yes, m_yes, base_no, m_no): the probability that
+    an arrival of class c matches in state x, and the successor base and
+    move of a match and of a miss.  Move c is a count added to class c; move
+    C + j is a count taken from class j, the targeted class, which m_yes
+    names even when p_yes is 0 (base_yes is then None, as no probe is below
+    0).
 
     A miss calls select_class, which holds the tie rule (WEIGHT_TOL, then the
     largest alpha), except under W1.  There the weights are the counts of
     the classes c can match, exact in a float, so select_class's choice is
     the integer argmax of x(j) (C + 1) + alpha(j) over those classes, or the
     class with the largest alpha when all their counts are 0 and every
-    weight ties at 0; w1_choice computes that.  The memo holds at most
-    CHOICE_MEMO_MAX entries; once it is full, further edges are computed
-    and not stored.
+    weight ties at 0; miss computes that inline.  The table holds at
+    most CHOICE_MEMO_MAX slots: a miss that could pass that, or a new state
+    that would, first empties it (flush) and enters the current state again.
+    A miss enters at most two states, so the bound holds whenever
+    CHOICE_MEMO_MAX >= 3C.
     """
 
     def __init__(self, spec: ModelSpec, policy: PolicyConfig):
-        self.memo: dict[int, tuple[float, int, int, int, int]] = {}
+        self.ids: dict[int, int] = {}
+        self.codes: list[int] = []
+        self.table: list[tuple[float, int | None, int, int, int] | None] = []
         self.weight, self.alpha, self.rho = policy.weight, policy.alpha, spec.rho
         self.n = C = spec.n_classes
-        self.units = [1 << (KEY_BITS * (i + 1)) for i in range(C)]
-        # A code as its C + 1 fields, c first, read from its little-endian
-        # bytes ("I" is 32 bits, KEY_BITS).
-        self.fields = Struct(f"<{C + 1}I")
+        self.blank = [None] * C
+        self.units = [1 << (KEY_BITS * i) for i in range(C)]
+        # A code as its C fields, read from its little-endian bytes ("I" is
+        # 32 bits, KEY_BITS).
+        self.fields = Struct(f"<{C}I")
         # One byte per move while the 2C moves fit in one; column m of steps
         # is the change of the counts by move m.
         self.log_type = bytearray if 2 * C <= 256 else list
@@ -125,7 +141,7 @@ class _Choice:
         self.steps = np.hstack([eye, -eye])
         # Under W1, the (class, alpha, field shift) of each class that each
         # arrival class can match.
-        self.matchable = [[(j, a, KEY_BITS * (j + 1))
+        self.matchable = [[(j, a, KEY_BITS * j)
                            for j, (r, a) in enumerate(zip(row, policy.alpha)) if r > 0.0]
                           for row in spec.rho] if policy.weight is W1 else None
         self.scale = C + 1
@@ -134,44 +150,65 @@ class _Choice:
         self.cum_nu = tuple(np.cumsum(spec.nu).tolist())
 
     def code(self, x: Sequence[int]) -> int:
-        """The key of (0, x); the key of (c, x) is this plus c."""
+        """The code of state x."""
         return sum(v * u for v, u in zip(x, self.units))
 
     def counts(self, code: int) -> list[int]:
-        """The x of the key code of (c, x)."""
-        return list(self.fields.unpack(code.to_bytes(self.fields.size, "little"))[1:])
+        """The x of the state whose code is code."""
+        return list(self.fields.unpack(code.to_bytes(self.fields.size, "little")))
 
-    def w1_choice(self, key: int) -> tuple[int, int]:
-        """The target j of the state whose code is key, and x(j), read from
-        the key's fields.  When the top-alpha fallback is taken, x(j) is
-        read as 0: it is 0 if c can match j, and p_yes is 0 whatever it is
-        if c cannot."""
-        scale = self.scale
-        best, score, count = self.top, scale - 1, 0  # alpha(j) alone never exceeds C = scale - 1
-        for j, a, shift in self.matchable[key & _FIELD]:
-            v = (key >> shift) & _FIELD
-            s = v * scale + a
-            if s > score:
-                best, score, count = j, s, v
-        return best, count
+    def flush(self) -> None:
+        self.ids.clear()
+        self.codes.clear()
+        self.table.clear()
 
-    def miss(self, key: int) -> tuple[float, int, int, int, int]:
-        c = key & _FIELD
+    def enter(self, code: int) -> int:
+        """The base of the state whose code is code; a new state gets the
+        next C slots."""
+        base = self.ids.get(code)
+        if base is None:
+            base = self.ids[code] = len(self.table)
+            self.codes.append(code)
+            self.table += self.blank
+        return base
+
+    def start(self, x: Sequence[int]) -> int:
+        """The base of state x, entered after a flush if it is new and its
+        slots would pass the bound."""
+        code = self.code(x)
+        if code not in self.ids and len(self.table) + self.n > CHOICE_MEMO_MAX:
+            self.flush()
+        return self.enter(code)
+
+    def miss(self, slot: int) -> tuple[float, int | None, int, int, int]:
+        """Build and store the edge of table slot slot."""
+        C, units, table = self.n, self.units, self.table
+        code, c = self.codes[slot // C], slot % C
         if self.matchable is None:
-            x = self.counts(key)
+            x = self.counts(code)
             j = select_class(self.weight, self.alpha, x, self.rho[c])
             xj = x[j]
         else:
-            j, xj = self.w1_choice(key)
-        units = self.units
-        edge = (1.0 - pow_int(1.0 - self.rho[c][j], xj), -units[j], self.n + j, units[c], c)
-        if len(self.memo) < CHOICE_MEMO_MAX:
-            self.memo[key] = edge
+            # When the top-alpha fallback is taken, x(j) is read as 0: it is 0
+            # if c can match j, and p_yes is 0 whatever it is if c cannot.
+            scale = self.scale
+            j, score, xj = self.top, scale - 1, 0  # alpha(j) alone never exceeds C = scale - 1
+            for i, a, shift in self.matchable[c]:
+                v = (code >> shift) & _FIELD
+                s = v * scale + a
+                if s > score:
+                    j, score, xj = i, s, v
+        p_yes = 1.0 - pow_int(1.0 - self.rho[c][j], xj)
+        if len(table) + 2 * C > CHOICE_MEMO_MAX:
+            self.flush()
+            slot = self.enter(code) + c
+        base_yes = self.enter(code - units[j]) if p_yes > 0.0 else None
+        table[slot] = edge = (p_yes, base_yes, C + j, self.enter(code + units[c]), c)
         return edge
 
-    def edge(self, c: int, x: Sequence[int]) -> tuple[float, int, int, int, int]:
-        key = self.code(x) + c
-        return self.memo.get(key) or self.miss(key)
+    def edge(self, c: int, x: Sequence[int]) -> tuple[float, int | None, int, int, int]:
+        slot = self.start(x) + c
+        return self.table[slot] or self.miss(slot)
 
     def __call__(self, c: int, x: Sequence[int]) -> int:
         """The class that an arrival of class c targets in state x."""
@@ -180,7 +217,7 @@ class _Choice:
 
 @lru_cache(maxsize=CHOICE_MEMOS)
 def _shared_choice(spec: ModelSpec, policy: PolicyConfig) -> _Choice:
-    """The one memo of edges of a (model, policy) pair."""
+    """The one table of edges of a (model, policy) pair."""
     return _Choice(spec, policy)
 
 
@@ -200,20 +237,19 @@ class SimState:
         p_yes.  Returns the move log, one move per arrival (see _Choice).
         """
         _check_path_length(self.t + len(arrivals))
-        get, miss = choice.memo.get, choice.miss
+        table, miss = choice.table, choice.miss
         log = choice.log_type()
         append = log.append
-        code = choice.code(self.x)
+        s = choice.start(self.x)
         for c, u in zip(arrivals, probes):
-            key = code + c
-            p_yes, d_yes, m_yes, d_no, m_no = get(key) or miss(key)
-            if u < p_yes:
-                code += d_yes
-                append(m_yes)
+            e = table[s + c] or miss(s + c)
+            if u < e[0]:
+                s = e[1]
+                append(e[2])
             else:
-                code += d_no
-                append(m_no)
-        before, self.x = sum(self.x), choice.counts(code)
+                s = e[3]
+                append(e[4])
+        before, self.x = sum(self.x), choice.counts(choice.codes[s // choice.n])
         self.t += len(log)
         self.matched_pairs += (len(log) + before - sum(self.x)) // 2
         return log

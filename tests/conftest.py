@@ -269,9 +269,10 @@ def scalar_propagate_distribution(spec: ModelSpec, policy: PolicyConfig, variant
 def scalar_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
                sample_every: int | None = None,
                track_walks: Iterable[Iterable[int]] = ()) -> Trajectory:
-    """The lazy engine's path, one arrival at a time, without a memo: every
-    arrival calls select_class, and matches iff its probe uniform (drawn
-    after all the arrival classes) is below 1 - pow_int(1 - rho, x(j)).
+    """The lazy engine's path, one arrival at a time, without an edge
+    table: every arrival calls select_class, and matches iff its probe
+    uniform (drawn after all the arrival classes) is below
+    1 - pow_int(1 - rho, x(j)).
 
     track_walks lists independent sets whose comparison walks are evaluated
     on the same arrival stream and sampled on the same grid.

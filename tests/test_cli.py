@@ -579,6 +579,16 @@ def test_load_config_refuses_a_walk_set_that_is_not_a_list(tmp_path, value):
         load_config(write_cfg(tmp_path, doc))
 
 
+def test_an_unknown_walk_set_label_is_named_and_exits_2(tmp_path, capsys):
+    doc = triangle_cfg()
+    doc["run"]["walk_set"] = ["a", "z"]
+    cfg = write_cfg(tmp_path, doc)
+    with pytest.raises(ConfigError, match=r"^run\.walk_set label 'z' is not a class label$"):
+        load_config(cfg)
+    assert main(["--config", cfg, "--seed", "1", "simulate"]) == 2
+    assert "run.walk_set label 'z' is not a class label" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [None, []])
 def test_a_null_or_empty_walk_set_walks_nothing(tmp_path, value):
     doc = sweep_cfg()

@@ -259,7 +259,7 @@ def test_engine_matches_scalar_oracle(name, weight):
 
 def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
     monkeypatch.setattr(simulate, "CHOICE_MEMO_MAX", 8)
-    simulate._shared_choice.cache_clear()  # a memo warmed by earlier tests is past no bound
+    simulate._shared_choice.cache_clear()  # a table warmed by earlier tests is past no bound
     spec = scenarios.bipartite(Fraction(3, 5))  # unstable: nearly every state is new
     for weight in (W1, W2):
         pol = make_policy(spec, weight)
@@ -268,13 +268,46 @@ def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
             x = (n, n // 3)
             j = select_class(pol.weight, pol.alpha, x, spec.rho[0])
             p_yes = 1.0 - pow_int(1.0 - spec.rho[0][j], x[j])
-            units = choice.units
-            assert choice.edge(0, x) == (p_yes, -units[j], 2 + j, units[0], 0)
+            code, units = choice.code(x), choice.units
+            e_p, base_yes, m_yes, base_no, m_no = choice.edge(0, x)
+            assert (e_p, m_yes, m_no) == (p_yes, 2 + j, 0)
+            assert choice.codes[base_no // 2] == code + units[0]
+            assert base_yes is None if p_yes == 0.0 else choice.codes[base_yes // 2] == code - units[j]
             assert choice(0, x) == j
-        assert len(choice.memo) == 8
+        assert len(choice.table) <= 8
         for seed in (4, 5, 6):
             assert_same_engine_output(spec, pol, seed)
-        assert len(simulate._shared_choice(spec, pol).memo) == 8
+        assert len(simulate._shared_choice(spec, pol).table) <= 8
+
+
+def test_the_edge_table_flushes_at_its_bound(monkeypatch):
+    # an unstable model at the real bound: the path visits more states than
+    # the table holds, so it is emptied and refilled, and never grows past
+    # CHOICE_MEMO_MAX slots
+    spec = scenarios.bipartite(Fraction(3, 5))
+    pol = make_policy(spec, W1)
+    visited, sizes, flushes = set(), [], []
+    miss, flush = simulate._Choice.miss, simulate._Choice.flush
+
+    def counted_miss(self, slot):
+        visited.add(self.codes[slot // self.n])
+        edge = miss(self, slot)
+        sizes.append(len(self.table))
+        return edge
+
+    def counted_flush(self):
+        flushes.append(len(self.table))
+        flush(self)
+
+    monkeypatch.setattr(simulate._Choice, "miss", counted_miss)
+    monkeypatch.setattr(simulate._Choice, "flush", counted_flush)
+    simulate._shared_choice.cache_clear()
+    run(spec, pol, 400_000, 7)
+    assert len(visited) > simulate.CHOICE_MEMO_MAX // 2
+    assert flushes and max(sizes + flushes) <= simulate.CHOICE_MEMO_MAX
+    assert np.array_equal(final_states(spec, pol, 60, 7, 30),
+                          scalar_final_states(spec, pol, 60, 7, 30))
+    assert len(simulate._shared_choice(spec, pol).table) <= simulate.CHOICE_MEMO_MAX
 
 
 @settings(max_examples=300, deadline=None)
@@ -340,7 +373,7 @@ def test_sample_grid_every_step_ends_at_T(T, every):
 
 
 def test_step_shares_the_memo(monkeypatch, triangle_spec):
-    # each state misses the memo once, however many steps reach it
+    # each (c, x) misses the table once, however many steps reach it
     calls = []
     miss = simulate._Choice.miss
 
@@ -356,7 +389,8 @@ def test_step_shares_the_memo(monkeypatch, triangle_spec):
         sim = new_sim(triangle_spec, 3)
         for _ in range(300):
             step(triangle_spec, pol, sim)
-        assert len(calls) == len(simulate._shared_choice(triangle_spec, pol).memo) < 300
+        table = simulate._shared_choice(triangle_spec, pol).table
+        assert len(calls) == sum(e is not None for e in table) < 300
 
 
 @pytest.mark.parametrize("name", ["mixed_selfloop", "triangle", "path3"])
@@ -401,9 +435,12 @@ def test_memo_edges_carry_the_kernels_match_probability(name, weight):
     choice = simulate._Choice(spec, pol)
     for c, targets, _, _ in box_moves(spec, pol, tables, X):
         for x, j in zip(X.tolist(), targets.tolist()):
-            p_yes, d_yes, m_yes, d_no, m_no = choice.edge(c, x)
+            p_yes, base_yes, m_yes, base_no, m_no = choice.edge(c, x)
             assert (m_yes, m_no) == (C + j, c)
-            assert (d_yes, d_no) == (-choice.units[j], choice.units[c])
+            code = choice.code(x)
+            assert choice.codes[base_no // C] == code + choice.units[c]
+            assert base_yes is None if p_yes == 0.0 else \
+                choice.codes[base_yes // C] == code - choice.units[j]
             assert p_yes == 1.0 - float(miss[c, j, x[j]])
 
 
@@ -412,7 +449,7 @@ def test_long_run_peak_memory():
     # time; the engine that drew geometric blocks peaked at 24.0 MB on this path
     spec = scenarios.mixed_selfloop()
     pol = make_policy(spec, W1)
-    run(spec, pol, 1000, 0)  # the memo and the module state exist before tracing
+    run(spec, pol, 1000, 0)  # the edge table and the module state exist before tracing
     tracemalloc.start()
     try:
         run(spec, pol, 10**6, 1)

@@ -98,29 +98,77 @@ def _parity_component(chain: TruncatedChain, pi: np.ndarray, l: int) -> np.ndarr
     return np.where(chain.parity == l, 2.0 * pi, 0.0)
 
 
+def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unpreconditioned BiCGSTAB on A x = b from x0, as (x, full steps taken).
+
+    This is scipy.sparse.linalg.bicgstab of scipy 1.17 with rtol 1e-13 and
+    atol 0, in its operation order: it stops once |r| < 1e-13 |b|, after
+    10 n steps, or on a breakdown (|rho| or |omega| below eps^2, or
+    rtilde . v = 0), and a step that stops at its half-step residual is not
+    counted.  So x and the count, which is scipy's number of callbacks, are
+    bit-identical to scipy's.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = 1e-13 * float(bnrm2)
+    tiny = np.finfo(float).eps ** 2
+    x = x0.copy()
+    r = b - A @ x if x.any() else b.copy()
+    rtilde = r.copy()
+    steps = 0
+    for _ in range(10 * len(b)):
+        if np.linalg.norm(r) < atol:
+            break
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < tiny:
+            break
+        if steps:
+            if np.abs(omega) < tiny:
+                break
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        v = A @ p
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            break
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < atol:
+            x += alpha * p
+            break
+        t = A @ r
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+        steps += 1
+    return x, steps
+
+
 def stationary(chain: TruncatedChain) -> StationaryEstimate:
     """Solve pi P = pi on the truncated chain.
 
     pi(origin) is pinned to 1 (the origin is states[0]) and the origin's
     balance equation dropped, which leaves a nonsingular system for the
-    other states; BiCGSTAB solves it from b, the origin's one-step column.
+    other states; _bicgstab solves it from b, the origin's one-step column.
     A residual above RESIDUAL_TOL after STATIONARY_RUNS runs raises
     ConvergenceError rather than returning a bad estimate.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import bicgstab
 
     A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
     b = chain.P[0].toarray().ravel()[1:]  # minus the origin's column of I - P^T
     rest = b
     iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
     for _ in range(STATIONARY_RUNS):
-        rest, _ = bicgstab(A, b, x0=rest, rtol=1e-13, atol=0.0, callback=count)
+        rest, steps = _bicgstab(A, b, rest)
+        iterations += steps
         pi = np.concatenate(([1.0], np.where(rest > 0.0, rest, 0.0)))
         pi /= pi.sum()
         residual = float(np.abs(pi @ chain.P - pi).sum())
@@ -161,6 +209,8 @@ def tv_periodic(chain: TruncatedChain, estimate: StationaryEstimate, t: int, l: 
     with pi_l the parity-l component of the stationary law."""
     if l not in (0, 1):
         raise ValueError("l must be 0 or 1")
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
     d = np.zeros(chain.n_states)
     d[0] = 1.0  # the origin comes first
     for _ in range(2 * t + l):

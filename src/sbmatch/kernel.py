@@ -15,7 +15,8 @@ the state.
 
 box_moves is the per-arrival-class pass over an (n, C) array of states,
 read from the weight and miss tables of move_tables.  transition_table folds
-it into the truncated kernel, and drift_q_over, theorem_bound_over and
+it into the truncated kernel on the states that _reach's sweeps along the
+axes find reachable from the origin, and drift_q_over, theorem_bound_over and
 verify_drift_chain_over sum it into the certificate sweeps, bit for bit as
 the scalar functions of one state, which stay as their oracles.  drift_sweep
 and chain_sweep are the sweeps: those sums and their checks over a box.
@@ -559,22 +560,20 @@ def chain_sweep(spec: ModelSpec, policy: PolicyConfig, radius: int):
     return chunks()
 
 
-def transition_table(spec: ModelSpec, policy: PolicyConfig,
-                     cap: int) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The raw kernel on the states of the box {0..cap}^C reachable from the
-    origin, as (grid, P): grid holds one count vector per state in sorted
-    (lexicographic) order, the origin first, and P is the transition matrix
-    in that order.  The box size (cap + 1) ** C is checked against
-    BOX_MAX_STATES before anything is allocated.
+def _box_kernel(spec: ModelSpec, policy: PolicyConfig,
+                cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw kernel on the whole box {0..cap}^C as (X, val, offsets): X
+    holds the box states in sorted (C) order, and row r of val the
+    probabilities of the moves from X[r] to the box state r + offsets.  The
+    box size (cap + 1) ** C is checked against BOX_MAX_STATES before
+    anything is allocated.
 
     Row r of the box has entries only at the 2C + 1 columns r - stride[j]
     (a match at class j), r (the self-loop into which an increment leaving
     the box folds) and r + stride[i] (arrival i stored), with the strides
-    descending over the classes.  So the rows are one array val of shape
-    (N, 2C + 1) with those columns in ascending order: the decrements by
-    class, the fold, then the increments in reverse class order.  The box
-    CSR keeps the positive entries of val, and P is the box restricted to
-    the states reached from the origin.
+    descending over the classes.  So offsets holds those columns in
+    ascending order: the decrements by class, the fold, then the increments
+    in reverse class order; an entry is 0.0 where its move is impossible.
 
     Each entry is bit-identical to transition_row's: the moves are
     box_moves', decrements to the same class accumulate over ascending
@@ -583,9 +582,6 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
     """
     C = spec.n_classes
     side = _box_side(C, cap)
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import breadth_first_order
-
     X = np.indices((side,) * C).reshape(C, -1).T  # C order = sorted tuples
     N = X.shape[0]
     rows = np.arange(N)
@@ -601,13 +597,88 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
     for i in range(C - 1, -1, -1):
         val[:, C] += np.where(at_cap[:, i], p_no[:, i], 0.0)
     p_no[at_cap] = 0.0
+    return X, val, offsets
 
-    keep = val > 0.0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    box = sp.csr_matrix((val[keep], (rows[:, None] + offsets)[keep], indptr), shape=(N, N))
-    reached = np.zeros(N, dtype=bool)
-    reached[breadth_first_order(box, 0, return_predecessors=False)] = True
-    return X[reached], box[reached][:, reached]
+
+def _steps(positive: np.ndarray, cap: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(up, down) of the box kernel, where positive is _box_kernel's val > 0:
+    up[i] and down[i], views of shape (cap + 1,) * C, say at x whether the
+    chain steps from x to x + e_i and to x - e_i.  up[i] is False at
+    x_i = cap and down[i] at x_i = 0."""
+    C = positive.shape[1] // 2
+    shape = (cap + 1,) * C
+    return ([positive[:, 2 * C - i].reshape(shape) for i in range(C)],
+            [positive[:, j].reshape(shape) for j in range(C)])
+
+
+def _reach(up: list[np.ndarray], down: list[np.ndarray]) -> np.ndarray:
+    """The box states that unit steps along up and down (as _steps gives
+    them) reach from the origin, as a flat mask in C order.
+
+    A round sweeps every axis up and down.  Along a line of the box, a state
+    is reached when a reached state lies below it with a step up from each
+    state between them, or above it with a step down from each.  So the
+    upward sweep marks a reached state at position k with 2k + 1, and else
+    marks 2k where no step up comes from k - 1 (always at k = 0); the running
+    maximum of the marks is odd exactly where the sweep reaches.  The
+    downward sweep is the upward one on the flipped line.  Rounds repeat
+    until one adds nothing or every state is reached: the closure of a
+    breadth-first search, for O(C N) numpy work per round.
+    """
+    C, shape = len(up), up[0].shape
+    reached = np.zeros(shape, dtype=bool)
+    reached[(0,) * C] = True
+    sweeps = []
+    for i in range(C):
+        k = np.arange(shape[i], dtype=np.int32).reshape([-1 if a == i else 1 for a in range(C)])
+        for R, step in ((reached, up[i]), (np.flip(reached, i), np.flip(down[i], i))):
+            # the roll brings the last position's step, which is never there, to k = 0
+            sweeps.append((i, R, 2 * k + 1, ~np.roll(step, 1, axis=i) * (2 * k)))
+    count = 1
+    while True:
+        for i, R, mark, start in sweeps:
+            R |= (np.maximum.accumulate(np.maximum(R * mark, start), axis=i) & 1) > 0
+        last, count = count, np.count_nonzero(reached)
+        if count == last or count == reached.size:
+            return reached.ravel()
+
+
+def _backward(up: list[np.ndarray], down: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(up, down) of the chain run backwards: it steps up from x where the
+    chain steps down from x + e_i, and down from x where the chain steps up
+    from x - e_i.  The rolls wrap only steps that are never there (down at
+    x_i = 0, up at x_i = cap)."""
+    return ([np.roll(d, -1, axis=i) for i, d in enumerate(down)],
+            [np.roll(u, 1, axis=i) for i, u in enumerate(up)])
+
+
+def transition_table(spec: ModelSpec, policy: PolicyConfig,
+                     cap: int) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The raw kernel on the states of the box {0..cap}^C reachable from the
+    origin, as (grid, P): grid holds one count vector per state in sorted
+    (lexicographic) order, the origin first, and P is the transition matrix
+    in that order.  The box size (cap + 1) ** C is checked against
+    BOX_MAX_STATES before anything is allocated.
+
+    P keeps the positive entries of _box_kernel's val on the rows of the
+    reached states, and each entry's column is its box state's index among
+    them: a reached state moves only to reached states, so no row loses an
+    entry, and the columns stay ascending.
+    """
+    import scipy.sparse as sp
+
+    X, val, offsets = _box_kernel(spec, policy, cap)
+    positive = val > 0.0
+    reached = _reach(*_steps(positive, cap))
+    positive[~reached] = False
+    index = np.cumsum(reached) - 1  # each reached box state's index among them
+    n = index[-1] + 1
+    entry = np.flatnonzero(positive)  # reached rows only, in row-major order
+    r, c = np.divmod(entry, val.shape[1])
+    P = sp.csr_matrix((val.ravel()[entry], index[r + offsets[c]],
+                       np.concatenate([[0], np.cumsum(np.bincount(index[r], minlength=n))])),
+                      shape=(n, n))
+    return X[reached], P
 
 
 @dataclass(frozen=True)
@@ -624,19 +695,20 @@ def reachable_check(spec: ModelSpec, policy: PolicyConfig, cap: int) -> Reachabi
 
     Requires every class to have at least one compatible class, since an
     isolated class blocks all returns once one of its nodes arrives, and a
-    box (cap + 1) ** C of at most BOX_MAX_STATES states.
+    box (cap + 1) ** C of at most BOX_MAX_STATES states.  The reached states
+    are _reach's on the box kernel, the returning ones _reach's on the chain
+    run backwards; a state that the origin reaches steps only to reached
+    states, so its path back stays among them.
     """
-    from scipy.sparse.csgraph import breadth_first_order
-
     graph = root_graph(spec)
     for i in range(graph.n_classes):
         if not any(graph.adjacency[i]):
             raise KernelError(f"class {spec.classes[i]!r} is isolated in the compatibility graph")
-    grid, P = transition_table(spec, policy, cap)
-    back = np.zeros(len(grid), dtype=bool)
-    back[breadth_first_order(P.T, 0, return_predecessors=False)] = True
-    missing = tuple(map(tuple, grid[~back].tolist()))
-    return ReachabilityReport(cap=cap, states_explored=len(grid),
+    X, val, _ = _box_kernel(spec, policy, cap)
+    up, down = _steps(val > 0.0, cap)
+    reached = _reach(up, down)
+    missing = tuple(map(tuple, X[reached & ~_reach(*_backward(up, down))].tolist()))
+    return ReachabilityReport(cap=cap, states_explored=int(np.count_nonzero(reached)),
                               all_return=not missing, unreturned=missing)
 
 
@@ -648,6 +720,8 @@ def propagate_distribution(spec: ModelSpec, policy: PolicyConfig,
     The pushes run over transition_table with cap = steps: reaching the cap
     takes steps arrivals, so no mass is folded and nothing is truncated.
     """
+    if steps < 0:
+        raise KernelError(f"steps must be non-negative, got {steps}")
     grid, P = transition_table(spec, policy, steps)
     p = np.zeros(len(grid))
     p[0] = 1.0

@@ -414,6 +414,8 @@ def run_replicas(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
 def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
                  replicas: int) -> np.ndarray:
     """Final count vectors of many short replicas."""
+    if replicas < 0:
+        raise ValueError(f"replicas must be non-negative, got {replicas}")
     _check_path_length(T)  # before any draws are made
     choice = _shared_choice(spec, policy)
     out = np.zeros((replicas, spec.n_classes), dtype=np.int64)

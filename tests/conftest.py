@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from sbmatch import KernelError, ModelSpec, make_spec, quadratic, root_graph, transition_row
-from sbmatch import scenarios
-from sbmatch.kernel import TransitionRow, pow_int
+from sbmatch import analyze, scenarios
+from sbmatch.kernel import TransitionRow, _box_kernel, pow_int
 from sbmatch.policy import PolicyConfig, State, select_class, support
 from sbmatch.simulate import (Trajectory, _draw_arrivals, _sample_grid, _seed_seq, _shared_choice,
                               coupled_walk)
@@ -152,6 +153,42 @@ def direct_stationary(chain) -> np.ndarray:
     A = (sp.identity(n, format="csc") - chain.P.T).tocsc()[1:, 1:]
     pi = np.concatenate(([1.0], spla.spsolve(A, chain.P[0].toarray().ravel()[1:])))
     return pi / pi.sum()
+
+
+def scipy_stationary(chain) -> tuple[np.ndarray, int]:
+    """(pi, iterations) of analyze.stationary's solve run on
+    scipy.sparse.linalg.bicgstab: the same origin-pinned system, rtol 1e-13,
+    restarts and residual gate, with one iteration per callback."""
+    A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
+    b = chain.P[0].toarray().ravel()[1:]
+    rest, iterations = b, 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    for _ in range(analyze.STATIONARY_RUNS):
+        rest, _ = spla.bicgstab(A, b, x0=rest, rtol=1e-13, atol=0.0, callback=count)
+        pi = np.concatenate(([1.0], np.where(rest > 0.0, rest, 0.0)))
+        pi /= pi.sum()
+        if float(np.abs(pi @ chain.P - pi).sum()) <= analyze.RESIDUAL_TOL:
+            break
+    return pi, iterations
+
+
+def box_reach(spec: ModelSpec, policy, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward) masks over the box {0..cap}^C in C order: the
+    states that scipy's breadth_first_order reaches from the origin on the
+    box kernel's positive entries, and on their transpose."""
+    X, val, offsets = _box_kernel(spec, policy, cap)
+    N = len(X)
+    keep = val > 0.0
+    box = sp.csr_matrix((val[keep], (np.arange(N)[:, None] + offsets)[keep],
+                         np.concatenate([[0], np.cumsum(keep.sum(axis=1))])), shape=(N, N))
+    forward, backward = np.zeros((2, N), dtype=bool)
+    forward[breadth_first_order(box, 0, return_predecessors=False)] = True
+    backward[breadth_first_order(box.T.tocsr(), 0, return_predecessors=False)] = True
+    return forward, backward
 
 
 def scalar_reachable(spec: ModelSpec, policy, cap: int):

@@ -24,7 +24,7 @@ from sbmatch import (
 )
 from sbmatch.policy import W1, W2
 
-from conftest import direct_stationary, scalar_reachable, scalar_truncate
+from conftest import box_reach, direct_stationary, scalar_reachable, scalar_truncate, scipy_stationary
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +80,19 @@ ORACLE_CASES = [(name, weight, cap)
                 for weight in (W1, W2) for cap in (1, 4, 5, 12)]
 
 
-@pytest.mark.parametrize("name,weight,cap",
-                         ORACLE_CASES + [("bipartite_rho1", W1, 6)]
-                         + [("path3", weight, cap) for weight in (W1, W2) for cap in (4, 12)],
-                         ids=lambda v: getattr(v, "name", v))
-def test_truncate_matches_scalar_oracle(name, weight, cap):
+TRUNCATE_CASES = (ORACLE_CASES + [("bipartite_rho1", W1, 6)]
+                  + [("path3", weight, cap) for weight in (W1, W2) for cap in (4, 12)])
+
+
+def _case_spec(name):
     # rho = 1 on the bipartite model leaves every state with both counts
     # positive unreachable, so the box is only partly reached
-    spec = scenarios.bipartite(r=1.0) if name == "bipartite_rho1" else getattr(scenarios, name)()
+    return scenarios.bipartite(r=1.0) if name == "bipartite_rho1" else getattr(scenarios, name)()
+
+
+@pytest.mark.parametrize("name,weight,cap", TRUNCATE_CASES, ids=lambda v: getattr(v, "name", v))
+def test_truncate_matches_scalar_oracle(name, weight, cap):
+    spec = _case_spec(name)
     pol = make_policy(spec, weight)
     ch = truncate(spec, pol, cap)
     states, index, P, norms, parity, boundary = scalar_truncate(spec, pol, cap)
@@ -101,6 +106,35 @@ def test_truncate_matches_scalar_oracle(name, weight, cap):
     assert np.array_equal(ch.boundary, boundary)
     rep = reachable_check(spec, pol, cap)
     assert (rep.states_explored, rep.unreturned) == scalar_reachable(spec, pol, cap)
+
+
+@pytest.mark.parametrize("name,p,weight,cap",
+                         [(name, None, weight, cap) for name, weight, cap in TRUNCATE_CASES]
+                         + [("single_selfloop", p, weight, cap) for p in (0.3, 0.5, 0.7, 0.95)
+                            for weight in (W1, W2) for cap in (300, 1000)]
+                         + [("single_selfloop", 0.01, W1, 200_000)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_reach_matches_breadth_first_order(name, p, weight, cap):
+    # over the whole box, forward from the origin and backward to it; at
+    # p = 0.01 the origin reaches 74,142 of the 200,001 states, and every
+    # state reaches the origin
+    spec = _case_spec(name) if p is None else scenarios.single_selfloop(p)
+    pol = make_policy(spec, weight)
+    _, val, _ = kernel._box_kernel(spec, pol, cap)
+    up, down = kernel._steps(val > 0.0, cap)
+    forward, backward = box_reach(spec, pol, cap)
+    assert np.array_equal(kernel._reach(up, down), forward)
+    assert np.array_equal(kernel._reach(*kernel._backward(up, down)), backward)
+
+
+@pytest.mark.parametrize("name,weight,cap", ORACLE_CASES, ids=lambda v: getattr(v, "name", v))
+def test_stationary_matches_scipy_bicgstab_bit_for_bit(name, weight, cap):
+    spec = getattr(scenarios, name)()
+    ch = truncate(spec, make_policy(spec, weight), cap)
+    est = stationary(ch)
+    pi, iterations = scipy_stationary(ch)
+    assert np.array_equal(est.pi.view(np.int64), pi.view(np.int64))
+    assert est.iterations == iterations
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
@@ -201,6 +235,16 @@ def test_tv_periodic_decays(tri_chain):
     assert late0 < 0.01 and late1 < 0.01
     with pytest.raises(ValueError):
         tv_periodic(tri_chain, est, 10, 2)
+
+
+def test_tv_periodic_refuses_a_negative_t():
+    # 2t + l pushes would be none at t = -1, the distance at the origin
+    tri = scenarios.triangle()
+    ch = truncate(tri, make_policy(tri), 3)
+    est = stationary(ch)
+    for l in (0, 1):
+        with pytest.raises(ValueError, match="t must be non-negative, got -1"):
+            tv_periodic(ch, est, -1, l)
 
 
 def test_mean_bound_values():

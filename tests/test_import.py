@@ -1,6 +1,7 @@
 """Cold-start checks, each in a fresh interpreter: importing the package and
 running the verbs that do no sparse linear algebra must not load scipy, and
-the one verb that does (stationary) must find its deferred imports."""
+the one verb that does (stationary) must find its deferred imports and load
+scipy.sparse alone, without scipy.sparse.linalg or scipy.sparse.csgraph."""
 
 import json
 import os
@@ -58,3 +59,32 @@ def test_stationary_loads_its_solver_from_a_cold_start(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_states"] == 27
     assert len(out.read_text().splitlines()) == 1 + 27
+
+
+# Runs in the fresh interpreter: stationary through cli.main, then
+# reachable_check, each followed by the scipy modules loaded so far.
+STATIONARY_THEN_REACHABILITY = """
+import json, sys
+import sbmatch.cli
+from sbmatch import make_policy, reachable_check, scenarios
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+code = sbmatch.cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "stationary"])
+assert code == 0, code
+after_stationary = loaded()
+tri = scenarios.triangle()
+assert reachable_check(tri, make_policy(tri), 4).all_return
+print(json.dumps([after_stationary, loaded()]))
+"""
+
+
+def test_stationary_and_reachability_load_neither_linalg_nor_csgraph(tmp_path):
+    doc = {"model": TRIANGLE, "analyze": {"cap": 2}}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    proc = fresh_python(["-c", STATIONARY_THEN_REACHABILITY, "cfg.json", "pi.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    after_stationary, after_reachability = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.sparse" in after_stationary
+    for loaded in (after_stationary, after_reachability):
+        for heavy in ("scipy.sparse.linalg", "scipy.sparse.csgraph"):
+            assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")], heavy

@@ -413,6 +413,11 @@ def test_propagate_distribution_matches_the_dict_push(name, weight, T):
     assert max(abs(got[x] - p) for x, p in expected.items()) <= 1e-15
 
 
+def test_propagate_distribution_refuses_a_negative_step_count(triangle_spec):
+    with pytest.raises(KernelError, match="steps must be non-negative, got -1"):
+        propagate_distribution(triangle_spec, make_policy(triangle_spec), -1)
+
+
 def test_propagate_distribution_refuses_a_push_past_the_box_bound():
     # (1414 + 1) ** 2 states exceed BOX_MAX_STATES: refused before the box is built
     spec = scenarios.bipartite(Fraction(1, 2))

@@ -177,6 +177,11 @@ def test_engine_refuses_an_overlong_path_before_drawing(monkeypatch, triangle_sp
         final_states(triangle_spec, pol, T, 1, 1)
 
 
+def test_final_states_refuses_a_negative_replica_count(triangle_spec):
+    with pytest.raises(ValueError, match="replicas must be non-negative, got -1"):
+        final_states(triangle_spec, make_policy(triangle_spec), 10, 1, -1)
+
+
 def test_run_replicas_and_final_states_agree(triangle_spec):
     pol = make_policy(triangle_spec)
     trajs = run_replicas(triangle_spec, pol, 300, 11, 4)

@@ -44,12 +44,9 @@ from .kernel import (
     ReachabilityReport,
     TransitionRow,
     check_main_drift,
-    corrupted_drift_q,
-    drift,
     drift_q,
     kernel_variant,
     propagate_distribution,
-    quadratic,
     reachable_check,
     reduce_to_independent_support,
     restrict_support,

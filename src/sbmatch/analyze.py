@@ -106,15 +106,13 @@ def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarr
     10 n steps, or on a breakdown (|rho| or |omega| below eps^2, or
     rtilde . v = 0), and a step that stops at its half-step residual is not
     counted.  So x and the count, which is scipy's number of callbacks, are
-    bit-identical to scipy's.
+    bit-identical to scipy's.  scipy's shortcut for b = 0 is left out:
+    stationary's b is never 0, as the origin stores every arrival class.
     """
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0:
-        return b, 0
-    atol = 1e-13 * float(bnrm2)
+    atol = 1e-13 * float(np.linalg.norm(b))
     tiny = np.finfo(float).eps ** 2
     x = x0.copy()
-    r = b - A @ x if x.any() else b.copy()
+    r = b - A @ x
     rtilde = r.copy()
     steps = 0
     for _ in range(10 * len(b)):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -136,38 +136,14 @@ def transition_row(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[i
     return TransitionRow(state=x, entries=tuple(sorted(probs.items())))
 
 
-def quadratic(x: Sequence[int]) -> float:
-    return float(sum(v * v for v in x))
-
-
-def drift(spec: ModelSpec, policy: PolicyConfig, variant, h: Callable[[State], float],
-          x: Sequence[int]) -> float:
-    """One-step expected change of h at x: sum_y P(x, y) h(y) - h(x)."""
-    row = transition_row(spec, policy, variant, x)
-    return sum(p * h(y) for y, p in row.entries) - h(row.state)
-
-
-def _q_drift(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int], match: int) -> float:
-    """sum_i P(x, x + e_i) (2 x(i) + 1) + sum_j P(x, x - e_j) (1 + 2 match x(j)):
-    the drift of q for match = -1, its negative control for match = +1."""
-    x = tuple(int(v) for v in x)
-    total = 0.0
-    for i, j, p_yes, p_no in _arrival_moves(spec, policy, kernel_variant(spec, variant), x):
-        total += p_no * (2 * x[i] + 1) + p_yes * (1 + 2 * match * x[j])
-    return total
-
-
 def drift_q(spec: ModelSpec, policy: PolicyConfig, variant, x: Sequence[int]) -> float:
     """Drift of q(x) = sum x(i)^2 via the closed form
     1 + sum_i 2 x(i) P(x, x + e_i) - sum_j 2 x(j) P(x, x - e_j)."""
-    return _q_drift(spec, policy, variant, x, -1)
-
-
-def corrupted_drift_q(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) -> float:
-    """Drift of q under the raw kernel with every matching step flipped
-    upward, as a sign error in the match indicator would make it: drift_q's
-    closed form with 2 x(j) + 1 for 1 - 2 x(j).  The drift sweep's negative control."""
-    return _q_drift(spec, policy, "raw", x, 1)
+    x = tuple(int(v) for v in x)
+    total = 0.0
+    for i, j, p_yes, p_no in _arrival_moves(spec, policy, kernel_variant(spec, variant), x):
+        total += p_no * (2 * x[i] + 1) + p_yes * (1 - 2 * x[j])
+    return total
 
 
 def theorem_bound(spec: ModelSpec, policy: PolicyConfig, x: Sequence[int]) -> float:
@@ -424,10 +400,10 @@ def box_moves(spec: ModelSpec, policy: PolicyConfig, tables, X: np.ndarray):
 
 def drift_q_over(spec: ModelSpec, policy: PolicyConfig, tables, X: np.ndarray,
                  match: int = -1) -> np.ndarray:
-    """_q_drift at every row of X under the variant of tables: drift_q for
-    match = -1 and corrupted_drift_q for match = +1 (with the raw tables),
-    summed over ascending arrival classes as the scalar loop sums, so
-    bit-identical."""
+    """drift_q at every row of X under the variant of tables (match = -1), or,
+    with the raw tables and match = +1, the drift sweep's negative control:
+    every matching step flipped upward, 1 + 2 x(j) for 1 - 2 x(j).  Summed
+    over ascending arrival classes as drift_q sums, so bit-identical."""
     X = np.asarray(X)
     rows = np.arange(len(X))
     total = np.zeros(len(X))

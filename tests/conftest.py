@@ -389,7 +389,7 @@ def scalar_run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
         key = frozenset(members)
         walks[key] = coupled_walk(spec, key, arrivals)[grid]
 
-    return Trajectory(T=T, seed=seed, t_grid=grid, x=samp_x, sup_norm=sup,
+    return Trajectory(T=T, t_grid=grid, x=samp_x, sup_norm=sup,
                       matched_pairs=samp_matched, perfect=perfect,
                       ergodic_avg=samp_erg, walks=walks,
                       returns_to_zero=returns_to_zero, first_return=first_return,

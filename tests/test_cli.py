@@ -312,6 +312,36 @@ def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):
     assert err == "error: stationary residual 2.0e-09 exceeds 1.0e-10\n"
 
 
+def test_a_stationary_residual_miss_exits_2_without_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analyze, "RESIDUAL_TOL", -1.0)  # no residual meets it
+    doc = {"model": {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}, "analyze": {"cap": 6}}
+    out = tmp_path / "s.csv"
+    assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "stationary"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stationary residual ")
+    assert captured.err.endswith(" exceeds -1.0e+00\n") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "dash"])
+def test_drift_without_an_out_file_writes_the_csv_to_stdout(tmp_path, capsys, out):
+    cfg = write_cfg(tmp_path, triangle_cfg())
+    path = tmp_path / "drift.csv"
+    assert main(["--config", cfg, "--max-norm", "3", "--out", str(path), "drift"]) == 0
+    summary = capsys.readouterr().out
+    assert summary == "drift: 64 states, 0 failures\n"
+    assert main(["--config", cfg, "--max-norm", "3", *out, "drift"]) == 0
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8") + summary
+
+
+def test_a_sweep_entry_without_an_id_exits_2(tmp_path, capsys):
+    doc = sweep_cfg()
+    del doc["sweep"]["models"][0]["id"]
+    assert main(["--config", write_cfg(tmp_path, doc), "--seed", "1", "sweep"]) == 2
+    assert capsys.readouterr().err == "config error: sweep entries need id and model: 'id'\n"
+
+
 def test_drift_needs_stability(tmp_path, capsys):
     doc = {"model": {"classes": ["one", "two"], "nu": ["3/5", "2/5"],
                      "rho": [[0.0, 0.5], [0.5, 0.0]]}}

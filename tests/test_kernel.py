@@ -119,6 +119,12 @@ def test_unknown_variant_rejected(triangle_spec):
         kernel_variant(triangle_spec, "squared")
 
 
+def test_homogenized_variant_needs_a_positive_rho():
+    spec = scenarios.bipartite(Fraction(1, 2), r=0.0)
+    with pytest.raises(KernelError, match="positive rho"):
+        kernel_variant(spec, "homogenized")
+
+
 def test_rows_are_stochastic_with_unit_steps():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -162,6 +168,8 @@ def test_theorem_bound_needs_positive_margin(bipartite_spec):
     pol = make_policy(bipartite_spec)
     with pytest.raises(KernelError):
         theorem_bound(bipartite_spec, pol, (0, 0))
+    with pytest.raises(KernelError, match="positive stability margin"):
+        theorem_bound_over(bipartite_spec, pol, np.zeros((1, 2), dtype=np.int64))
 
 
 def test_check_main_drift_at_origin(triangle_spec):

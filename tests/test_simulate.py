@@ -296,6 +296,26 @@ def test_engine_matches_scalar_oracle_past_the_memo_bound(monkeypatch):
         for seed in (4, 5, 6):
             assert_same_engine_output(spec, pol, seed)
         assert len(simulate._shared_choice(spec, pol).table) <= 8
+    # the triangle at a bound of 10 >= 3C slots: a replica that starts at the
+    # origin after a miss has filled the table flushes it in start
+    monkeypatch.setattr(simulate, "CHOICE_MEMO_MAX", 10)
+    spec = scenarios.triangle()
+    start, sizes = simulate._Choice.start, []
+
+    def checked_start(self, x):
+        base = start(self, x)
+        sizes.append((len(self.ids), len(self.table)))
+        return base
+
+    monkeypatch.setattr(simulate._Choice, "start", checked_start)
+    for weight in (W1, W2):
+        pol = make_policy(spec, weight)
+        sizes.clear()
+        assert np.array_equal(final_states(spec, pol, 10, 3, 20),
+                              scalar_final_states(spec, pol, 10, 3, 20))
+        assert (1, 3) in sizes[1:]  # start emptied the table and entered the origin again
+        assert max(n for _, n in sizes) <= 10
+        assert len(simulate._shared_choice(spec, pol).table) <= 10
 
 
 def test_the_edge_table_flushes_at_its_bound(monkeypatch):

@@ -98,6 +98,14 @@ def _parity_component(chain: TruncatedChain, pi: np.ndarray, l: int) -> np.ndarr
     return np.where(chain.parity == l, 2.0 * pi, 0.0)
 
 
+def _converged(r: np.ndarray, atol: float, steps: int) -> bool:
+    """|r| < atol; raises ConvergenceError when |r| is not finite."""
+    norm = float(np.linalg.norm(r))
+    if not math.isfinite(norm):
+        raise ConvergenceError(f"BiCGSTAB residual is {norm} after {steps} steps")
+    return norm < atol
+
+
 def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int]:
     """Unpreconditioned BiCGSTAB on A x = b from x0, as (x, full steps taken).
 
@@ -108,6 +116,8 @@ def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarr
     counted.  So x and the count, which is scipy's number of callbacks, are
     bit-identical to scipy's.  scipy's shortcut for b = 0 is left out:
     stationary's b is never 0, as the origin stores every arrival class.
+    A residual that is not finite, which fails every stop test, raises
+    ConvergenceError at once: the iterate can no longer meet any target.
     """
     atol = 1e-13 * float(np.linalg.norm(b))
     tiny = np.finfo(float).eps ** 2
@@ -116,7 +126,7 @@ def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarr
     rtilde = r.copy()
     steps = 0
     for _ in range(10 * len(b)):
-        if np.linalg.norm(r) < atol:
+        if _converged(r, atol, steps):
             break
         rho = np.dot(rtilde, r)
         if np.abs(rho) < tiny:
@@ -136,7 +146,7 @@ def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarr
             break
         alpha = rho / rv
         r -= alpha * v
-        if np.linalg.norm(r) < atol:
+        if _converged(r, atol, steps):
             x += alpha * p
             break
         t = A @ r

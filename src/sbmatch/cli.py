@@ -12,10 +12,12 @@ All output is deterministic: floats are printed with 17 significant digits,
 rows are sorted, and randomized verbs require an explicit seed (from the
 config or --seed; there is no clock fallback).  The exit status is 0 only
 when every asserted check passes, 1 when a check fails, and 2 on usage or
-configuration errors, an --out that cannot be opened, a sweep box refused
+configuration errors, an --out that cannot be opened, an output whose
+reader closes before it is written (a broken pipe), a sweep box refused
 before it starts, a stationary solve that misses its residual target and an
 allocation that fails.  A verb that raises after its --out file is open
-removes the file; one that exits 1 keeps it whole.
+removes the file (a regular file only: never a pipe or a device such as
+/dev/stdout); one that exits 1 keeps it whole.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -213,7 +216,8 @@ def load_config(path: str) -> ScenarioConfig:
 
 @contextmanager
 def _output(path: str | None):
-    """stdout, or the file at path, removed again if the body raises."""
+    """stdout, or the file at path, removed again if the body raises and it
+    is a regular file."""
     if path is None or path == "-":
         yield sys.stdout
         return
@@ -221,11 +225,13 @@ def _output(path: str | None):
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"error: cannot write {path}: {exc.strerror or exc}") from exc
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
             yield fh
     except BaseException:
-        os.remove(path)
+        if regular:
+            os.remove(path)
         raise
 
 
@@ -427,6 +433,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> bool:
+    """True when stdout's reader has gone; stdout then points at os.devnull,
+    so that the interpreter's own flush at exit raises no second
+    BrokenPipeError."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return True
+    return False
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
@@ -442,7 +462,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.max_norm is None:
         args.max_norm = cfg.analyze.max_norm
     try:
-        return VERBS[args.verb](cfg, args)
+        code = VERBS[args.verb](cfg, args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError as exc:  # stdout's reader, or a pipe given as --out, has gone
+        to_stdout = _drop_stdout() or args.out in (None, "-")
+        print(f"error: cannot write {'stdout' if to_stdout else args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -242,15 +242,9 @@ def make_policy(spec: ModelSpec, weight: WeightFunction = W1,
     return PolicyConfig(weight=weight, alpha=alpha_t, n_star=ns)
 
 
-def select_class(weight: WeightFunction, alpha: Sequence[int], x: Sequence[int],
-                 rho_row: Sequence[float]) -> int:
-    """Greedy choice: argmax over j of (w(x(j), rho_row(j)), alpha(j)).
-
-    Weights within WEIGHT_TOL of the maximum count as tied and the largest alpha
-    wins.  For integer-valued weights such as w1 this reduces to exact
-    lexicographic comparison.
-    """
-    ws = [float(weight.fn(n, r)) for n, r in zip(x, rho_row)]  # .fn: no __call__ frame
+def top_class(ws: Sequence[float], alpha: Sequence[int]) -> int:
+    """The class of the largest weight ws(j): weights within WEIGHT_TOL of
+    the maximum count as tied and the largest alpha wins."""
     w_floor = max(ws) - WEIGHT_TOL
     best = -1
     best_alpha = -1
@@ -258,3 +252,13 @@ def select_class(weight: WeightFunction, alpha: Sequence[int], x: Sequence[int],
         if wj >= w_floor and alpha[j] > best_alpha:
             best, best_alpha = j, alpha[j]
     return best
+
+
+def select_class(weight: WeightFunction, alpha: Sequence[int], x: Sequence[int],
+                 rho_row: Sequence[float]) -> int:
+    """Greedy choice: argmax over j of (w(x(j), rho_row(j)), alpha(j)), with
+    top_class's tie rule.  For integer-valued weights such as w1 this reduces
+    to exact lexicographic comparison.
+    """
+    return top_class([float(weight.fn(n, r)) for n, r in zip(x, rho_row)],  # .fn: no __call__ frame
+                     alpha)

@@ -16,7 +16,8 @@ and, once a path visits it, a dense id: its C edges, one per arrival class,
 sit in C consecutive slots of one flat table.  An edge holds the match
 probability, and the successor's table base and the move of a match and of
 a miss; a miss of the table builds it from select_class's choice (under W1,
-from the integer rule that equals it) and enters both successors.  So each
+from the integer rule that equals it), with the weights and the match
+probability read from memos by count, and enters both successors.  So each
 arrival costs one list index, one compare and one entry on a move log; run
 then works out the grid samples, the matched pairs (t - sum x) / 2, the
 running sup-norm sum behind ergodic_avg, the returns to zero and the final
@@ -26,10 +27,10 @@ A count never exceeds the arrivals served, so a path is refused past
 2**KEY_BITS - 1 arrivals.  Engine calls on one (model, policy) pair share
 one table, which an lru_cache keeps until a call on another pair replaces
 it: no verb returns to a pair it has left.  A table holds at most
-CHOICE_MEMO_MAX slots: when a miss could pass that, the table is emptied in
-place and refilled from the current state (a flush).  step draws each
-arrival's class and then its probe when it is called, so its stream
-interleaves the two.
+CHOICE_MEMO_MAX slots: when a miss could pass that, the table and the memos
+are emptied in place and refilled from the current state (a flush).  step
+draws each arrival's class and then its probe when it is called, so its
+stream interleaves the two.
 
 Streams are split by seed tuple: replica r of a batch with base seed s draws
 from SeedSequence((s, r)).  Nothing is ever seeded from the clock; a seed is
@@ -47,10 +48,14 @@ import numpy as np
 
 from .kernel import pow_int
 from .model import ModelSpec, neighborhood, root_graph, walk_spec
-from .policy import W1, PolicyConfig, State, select_class
+from .policy import W1, PolicyConfig, State, top_class
+# Kept as a module attribute: the benchmark's layer tracer
+# (perfbench/tracing.py) wraps simulate.select_class.
+from .policy import select_class  # noqa: F401
 
 # Most slots, C per state, one table of edges may hold.  A full table takes
-# about 16 MB under CPython 3.11 (about 120 bytes a slot).
+# about 16 MB under CPython 3.11 (about 120 bytes a slot); its memos add at
+# most C + 1 entries per built edge.
 CHOICE_MEMO_MAX = 1 << 17
 # Width of each field of a state's code; a path serves fewer than
 # 2**KEY_BITS arrivals, so no count overflows its field.
@@ -75,8 +80,11 @@ def _sample_grid(T: int, sample_every: int | None) -> np.ndarray:
             raise ValueError("sample_every must be positive")
         ts = np.arange(0, T + 1, sample_every, dtype=np.int64)
         return ts if ts[-1] == T else np.append(ts, T)
-    # ascending and ending at T, so np.unique's result without its sort
-    ts = np.linspace(0, T, num=min(T, DEFAULT_SAMPLES) + 1).astype(np.int64)
+    # np.linspace(0, T, n + 1) truncated, as linspace computes it: k (T / n)
+    # and then T itself last; ascending, so np.unique's result without its sort
+    n = min(T, DEFAULT_SAMPLES) or 1
+    ts = (np.arange(n + 1) * (T / n)).astype(np.int64)
+    ts[-1] = T
     return ts[np.append(True, ts[1:] != ts[:-1])]
 
 
@@ -88,8 +96,22 @@ def _check_path_length(t: int) -> None:
 
 
 def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndarray:
-    idx = np.searchsorted(np.cumsum(spec.nu), rng.random(T), side="right")
+    idx = np.cumsum(spec.nu).searchsorted(rng.random(T), side="right")
     return np.minimum(idx, spec.n_classes - 1, out=idx).astype(np.int64, copy=False)
+
+
+class _Memo(dict):
+    """f(n) by count n, each computed on the first lookup of n."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, n: int):
+        v = self[n] = self.f(n)
+        return v
 
 
 class _Choice:
@@ -98,9 +120,9 @@ class _Choice:
 
     A state x that a path starts from, or that an edge leads to, gets the
     next C slots of the table, from its base on; the edge of (c, x) sits in
-    slot base + c, None until a miss builds it.  The state's identity stays its code, sum of x(i) * units[i]
-    with units[i] = 2**(KEY_BITS * i): ids maps a code to its base and
-    codes[base // C] is the code of a base.
+    slot base + c, None until a miss builds it.  The state's identity stays
+    its code, sum of x(i) * units[i] with units[i] = 2**(KEY_BITS * i): ids
+    maps a code to its base and codes[base // C] is the code of a base.
 
     An edge is (p_yes, base_yes, m_yes, base_no, m_no): the probability that
     an arrival of class c matches in state x, and the successor base and
@@ -109,23 +131,27 @@ class _Choice:
     names even when p_yes is 0 (base_yes is then None, as no probe is below
     0).
 
-    A miss calls select_class, which holds the tie rule (WEIGHT_TOL, then the
-    largest alpha), except under W1.  There the weights are the counts of
-    the classes c can match, exact in a float, so select_class's choice is
+    A miss takes select_class's choice without calling it: it reads the
+    weight w(x(j), rho(c, j)) of every class j from weights[c][j], a memo
+    by the count x(j), and hands them to top_class, select_class's tie rule
+    (WEIGHT_TOL, then the largest alpha).  Under W1 the weights are the
+    counts of the classes c can match, exact in a float, so the choice is
     the integer argmax of x(j) (C + 1) + alpha(j) over those classes, or the
     class with the largest alpha when all their counts are 0 and every
-    weight ties at 0; miss computes that inline.  The table holds at
+    weight ties at 0; miss computes that inline.  p_yes is read from
+    p_yes[c][j], a memo by the count x(j) of 1 - pow_int(1 - rho(c, j),
+    x(j)).  A miss adds at most C + 1 memo entries.  The table holds at
     most CHOICE_MEMO_MAX slots: a miss that could pass that, or a new state
-    that would, first empties it (flush) and enters the current state again.
-    A miss enters at most two states, so the bound holds whenever
-    CHOICE_MEMO_MAX >= 3C.
+    that would, first empties it and the memos (flush) and enters the
+    current state again.  A miss enters at most two states, so the bound
+    holds whenever CHOICE_MEMO_MAX >= 3C.
     """
 
     def __init__(self, spec: ModelSpec, policy: PolicyConfig):
         self.ids: dict[int, int] = {}
         self.codes: list[int] = []
         self.table: list[tuple[float, int | None, int, int, int] | None] = []
-        self.weight, self.alpha, self.rho = policy.weight, policy.alpha, spec.rho
+        self.alpha = policy.alpha
         self.n = C = spec.n_classes
         self.blank = [None] * C
         # Integer codes, not tuple keys: tuple keys made sweep/w1 about 9% slower.
@@ -146,6 +172,16 @@ class _Choice:
                           for row in spec.rho] if policy.weight is W1 else None
         self.scale = C + 1
         self.top = policy.alpha.index(max(policy.alpha))
+        # weights[c][j] and p_yes[c][j]: the weight and the match probability
+        # of target j for arrival class c, by count x(j); both depend on
+        # rho(c, j) alone, so the pairs of one rate share one memo of each
+        fn, rates = policy.weight.fn, set().union(*spec.rho)
+        weight = {r: _Memo(lambda n, r=r: float(fn(n, r))) for r in rates}
+        p_yes = {r: _Memo(lambda n, q=1.0 - r: 1.0 - pow_int(q, n)) for r in rates}
+        self.weights = None if policy.weight is W1 else \
+            [[weight[r] for r in row] for row in spec.rho]
+        self.p_yes = [[p_yes[r] for r in row] for row in spec.rho]
+        self.memos = [*weight.values(), *p_yes.values()]
 
     def code(self, x: Sequence[int]) -> int:
         """The code of state x."""
@@ -159,6 +195,8 @@ class _Choice:
         self.ids.clear()
         self.codes.clear()
         self.table.clear()
+        for memo in self.memos:
+            memo.clear()
 
     def enter(self, code: int) -> int:
         """The base of the state whose code is code; a new state gets the
@@ -180,11 +218,11 @@ class _Choice:
 
     def miss(self, slot: int) -> tuple[float, int | None, int, int, int]:
         """Build and store the edge of table slot slot."""
-        C, units, table = self.n, self.units, self.table
-        code, c = self.codes[slot // C], slot % C
+        C, units, table, ids, codes = self.n, self.units, self.table, self.ids, self.codes
+        code, c = codes[slot // C], slot % C
         if self.matchable is None:
             x = self.counts(code)
-            j = select_class(self.weight, self.alpha, x, self.rho[c])
+            j = top_class([w[n] for w, n in zip(self.weights[c], x)], self.alpha)
             xj = x[j]
         else:
             # When the top-alpha fallback is taken, x(j) is read as 0: it is 0
@@ -196,12 +234,26 @@ class _Choice:
                 s = v * scale + a
                 if s > score:
                     j, score, xj = i, s, v
-        p_yes = 1.0 - pow_int(1.0 - self.rho[c][j], xj)
+        p_yes = self.p_yes[c][j][xj]
         if len(table) + 2 * C > CHOICE_MEMO_MAX:
             self.flush()
             slot = self.enter(code) + c
-        base_yes = self.enter(code - units[j]) if p_yes > 0.0 else None
-        table[slot] = edge = (p_yes, base_yes, C + j, self.enter(code + units[c]), c)
+        # both successors entered as enter enters them
+        base_yes = None
+        if p_yes > 0.0:
+            to = code - units[j]
+            base_yes = ids.get(to)
+            if base_yes is None:
+                base_yes = ids[to] = len(table)
+                codes.append(to)
+                table += self.blank
+        to = code + units[c]
+        base_no = ids.get(to)
+        if base_no is None:
+            base_no = ids[to] = len(table)
+            codes.append(to)
+            table += self.blank
+        table[slot] = edge = (p_yes, base_yes, C + j, base_no, c)
         return edge
 
     def edge(self, c: int, x: Sequence[int]) -> tuple[float, int | None, int, int, int]:
@@ -235,13 +287,13 @@ class SimState:
         append = log.append
         s = choice.start(self.x)
         for c, u in zip(arrivals, probes):
-            e = table[s + c] or miss(s + c)
-            if u < e[0]:
-                s = e[1]
-                append(e[2])
+            p_yes, base_yes, m_yes, base_no, m_no = table[s + c] or miss(s + c)
+            if u < p_yes:
+                s = base_yes
+                append(m_yes)
             else:
-                s = e[3]
-                append(e[4])
+                s = base_no
+                append(m_no)
         self.x = choice.counts(choice.codes[s // choice.n])
         self.t += len(log)
         return log
@@ -362,22 +414,25 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     samp_x = np.zeros((grid.size, C), dtype=np.int64)
     samp_erg = np.zeros(grid.size, dtype=np.float64)
     choice = _shared_choice(spec, policy)
-    x = np.zeros((C, 1), dtype=np.int64)  # the counts before the block
+    x = np.zeros(C, dtype=np.int64)  # the counts before the block
     cum_norm, returns, first_return = 0.0, 0, None
     for start, log in _serve(path, choice, arrivals):
-        X = np.take(choice.steps, np.asarray(log), axis=1)
-        np.cumsum(X, axis=1, out=X)
-        X += x  # (C, n): the counts after each arrival of the block
-        x = X[:, -1:].copy()
+        X = choice.steps.take(np.asarray(log), axis=1)
+        X[:, 0] += x
+        X.cumsum(axis=1, out=X)  # (C, n): the counts after each arrival of the block
+        x = X[:, -1].copy()
         top = X.max(axis=0)
-        empty = np.flatnonzero(top == 0)
+        empty = (top == 0).nonzero()[0]
         returns += empty.size
         if first_return is None and empty.size:
             first_return = start + int(empty[0]) + 1
-        # the float running sum, added in arrival order like a scalar loop
-        cum = np.cumsum(np.concatenate(([cum_norm], top)))[1:]
+        # the float running sum, added in arrival order like a scalar loop:
+        # cum_norm + top[0] first, then each next top
+        cum = top.astype(np.float64)
+        cum[0] += cum_norm
+        cum.cumsum(out=cum)
         cum_norm = cum[-1]
-        lo, hi = np.searchsorted(grid, (start, start + len(log)), side="right")
+        lo, hi = grid.searchsorted((start, start + len(log)), side="right")
         k = grid[lo:hi] - (start + 1)
         samp_x[lo:hi] = X[:, k].T
         samp_erg[lo:hi] = cum[k] / grid[lo:hi]

@@ -137,6 +137,31 @@ def test_stationary_matches_scipy_bicgstab_bit_for_bit(name, weight, cap):
     assert est.iterations == iterations
 
 
+class _CountedProducts:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+@pytest.mark.parametrize("x0,shown", [([1e300, 1.0], "inf"), ([math.nan, 1.0], "nan")],
+                         ids=["overflow", "nan"])
+def test_bicgstab_stops_at_the_first_residual_that_is_not_finite(x0, shown):
+    # the first product overflows (or starts from NaN), so the first
+    # residual is not finite and fails every stop test: the solve raises
+    # there, where scipy's loop would run on through all its 10 n steps
+    import scipy.sparse as sp
+
+    A = _CountedProducts(sp.csr_matrix(np.diag([1e300, 1.0])))
+    with pytest.raises(analyze.ConvergenceError, match=f"residual is {shown} after 0 steps"):
+        analyze._bicgstab(A, np.ones(2), np.array(x0))
+    assert A.products == 1
+
+
 @pytest.mark.parametrize("p", [0.3, 0.7])
 def test_single_selfloop_matches_birth_death_product_form(p):
     # one class: up with probability (1-p)^x, down with 1-(1-p)^x, so

@@ -5,6 +5,9 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple, fields
 from fractions import Fraction
@@ -21,6 +24,8 @@ from sbmatch.model import ENUMERATION_CAP, make_spec, stability, walk_spec
 from sbmatch.policy import make_policy
 
 from conftest import random_model
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def triangle_cfg():
@@ -296,6 +301,46 @@ def test_a_failure_on_the_second_replica_leaves_no_out_file(tmp_path, capsys, mo
     assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), verb]) == 2
     assert capsys.readouterr().err == "error: out of memory on the second path\n"
     assert len(paths) == 2 and not out.exists()
+
+
+def test_a_failure_removes_a_regular_out_file_only(tmp_path, capsys, monkeypatch):
+    # a verb that raises after --out is open removes a file it made, but
+    # never a device such as /dev/null (nor /dev/stdout, a pipe behind it)
+    def refused(*args):
+        raise MemoryError("refused")
+
+    removed = []
+    monkeypatch.setattr(simulate, "_draw_arrivals", refused)
+    monkeypatch.setattr(os, "remove", removed.append)  # records, removes nothing
+    cfg = write_cfg(tmp_path, sweep_cfg())
+    for out in (os.devnull, str(tmp_path / "out.csv")):
+        assert main(["--config", cfg, "--out", out, "simulate"]) == 2
+        assert capsys.readouterr().err == "error: refused\n"
+    assert removed == [str(tmp_path / "out.csv")]
+
+
+def _cli_process(tmp_path, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "sbmatch.cli", *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("read_header", [True, False], ids=["after-the-header", "at-once"])
+def test_a_reader_that_closes_stdout_early_ends_the_verb_with_exit_2(tmp_path, read_header):
+    # sbmatch simulate | head -1: 20,001 rows overrun the pipe's buffer after
+    # the header; the broken pipe is reported in one line, with no traceback
+    # and no second error from the interpreter's flush at exit
+    doc = triangle_cfg()
+    doc["run"].update(T=20_000, replicas=1, sample_every=1)
+    with _cli_process(tmp_path, "--config", write_cfg(tmp_path, doc), "simulate") as proc:
+        if read_header:
+            assert proc.stdout.readline() == b"replica,t,x_a,x_b,x_c,sup_norm,matched_pairs,perfect\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 2, err
+    assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 def test_convergence_error_exits_2(tmp_path, capsys, monkeypatch):

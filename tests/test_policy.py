@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbmatch import (
     W1,
@@ -19,7 +21,7 @@ from sbmatch import (
     simulate,
     truncate,
 )
-from sbmatch.policy import WEIGHT_TOL
+from sbmatch.policy import WEIGHT_TOL, top_class
 
 from conftest import random_model, random_state, scalar_run, scalar_truncate
 
@@ -187,6 +189,24 @@ def test_select_class_breaks_ties_by_larger_alpha(bipartite_spec):
 def test_select_class_triangle_example(triangle_spec):
     pol = make_policy(triangle_spec, weight=W2)
     assert select_class(pol.weight, pol.alpha, (3, 5, 0), triangle_spec.rho[0]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_top_class_and_select_class_share_the_tie_rule(data):
+    # weights a whole number of quarter tolerances below a top weight: those
+    # within WEIGHT_TOL of the maximum tie, and the largest alpha among them
+    # wins, whether the weights come from select_class's weight or directly
+    C = data.draw(st.integers(1, 6))
+    top = data.draw(st.sampled_from([0.0, 1.0, 0.3, 7.5]))
+    ws = [top - k * WEIGHT_TOL / 4
+          for k in data.draw(st.lists(st.integers(0, 12), min_size=C, max_size=C))]
+    alpha = tuple(data.draw(st.permutations(range(1, C + 1))))
+    by_index = WeightFunction("by_index", lambda n, r: ws[n])
+    j = top_class(ws, alpha)
+    assert j == select_class(by_index, alpha, range(C), [0.5] * C)
+    tied = [k for k in range(C) if ws[k] >= max(ws) - WEIGHT_TOL]
+    assert alpha[j] == max(alpha[k] for k in tied)
 
 
 def test_phi_ignores_incompatible_classes(path3_spec):

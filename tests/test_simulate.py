@@ -14,6 +14,7 @@ from sbmatch import (
     W1,
     W2,
     PolicyConfig,
+    WeightFunction,
     coupled_walk,
     final_states,
     make_policy,
@@ -368,6 +369,67 @@ def test_w1_misses_choose_as_select_class(data):
         assert choice.edge(c, x)[2] - C == select_class(W1, alpha, x, rho[c])
 
 
+# A weight that is not built in, with no integer shortcut; n r ties within
+# WEIGHT_TOL but not exactly across classes: 3 x 0.05 = 0.15000000000000002
+# against 1 x 0.15, and 3 x 0.1 against 2 x 0.15.
+N_TIMES_R = WeightFunction("n_times_r", lambda n, r: n * r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_misses_choose_as_select_class(data):
+    # the w1 test's rho patterns, with more rates, and alpha orders under w2
+    # and n r; several states in one table, their counts mostly 0 to 3 and
+    # 10, so later misses read weights and match probabilities that earlier
+    # ones stored
+    C = data.draw(st.integers(1, 6))
+    rates = st.sampled_from([0.0, 0.0, 0.05, 0.1, 0.15, 0.5, 1.0])
+    rho = [[0.0] * C for _ in range(C)]
+    for i in range(C):
+        for j in range(i, C):
+            rho[i][j] = rho[j][i] = data.draw(rates)
+    spec = make_spec(range(C), [Fraction(1, C)] * C, rho)
+    alpha = tuple(data.draw(st.permutations(range(1, C + 1))))
+    weight = data.draw(st.sampled_from([W2, N_TIMES_R]))
+    choice = simulate._Choice(spec, PolicyConfig(weight, alpha, 1))
+    counts = st.one_of(st.integers(0, 3), st.just(10), st.integers(0, 2**32 - 1))
+    for x in data.draw(st.lists(st.lists(counts, min_size=C, max_size=C), min_size=1, max_size=5)):
+        for c in range(C):
+            p_yes, _, move, _, _ = choice.edge(c, x)
+            j = select_class(weight, alpha, x, rho[c])
+            assert (move - C, p_yes) == (j, 1.0 - pow_int(1.0 - rho[c][j], x[j]))
+
+
+def test_a_flush_empties_the_memos_with_the_table(monkeypatch):
+    # an unstable model at a bound of 8 slots: the memos fill between
+    # flushes, hold at most C + 1 entries per built edge, and every flush
+    # empties them together with the table, its id map and its code list
+    monkeypatch.setattr(simulate, "CHOICE_MEMO_MAX", 8)
+    spec = scenarios.bipartite(Fraction(3, 5))
+    C = spec.n_classes
+    for weight in (W1, W2):
+        choice = simulate._Choice(spec, make_policy(spec, weight))
+        # each distinct memo once: pairs of one rate share theirs
+        memos = list({id(m): m for rows in (choice.weights or [], choice.p_yes)
+                      for row in rows for m in row}.values())
+        flush, before, after = choice.flush, [], []
+
+        def checked_flush():
+            before.append(sum(map(len, memos)))
+            flush()
+            after.append((len(choice.table), len(choice.ids), len(choice.codes),
+                          sum(map(len, memos))))
+
+        choice.flush = checked_flush
+        for n in range(40):
+            for c in range(C):
+                choice.edge(c, (n, n // 3))
+                built = sum(e is not None for e in choice.table)
+                assert sum(map(len, memos)) <= (C + 1) * built
+        assert len(before) > 5 and min(before) > 0
+        assert set(after) == {(0, 0, 0, 0)}
+
+
 def test_one_memo_per_model_and_policy():
     # runs on one model under both weights and two alpha orders, and on a
     # second model, interleaved: a memo warmed by one pair must never answer
@@ -408,6 +470,16 @@ def test_sample_grid_every_step_ends_at_T(T, every):
         ts.append(T)
     grid = simulate._sample_grid(T, every)
     assert grid.dtype == np.int64 and np.array_equal(grid, ts)
+
+
+def test_default_grid_is_numpys_linspace_truncated():
+    # the default grid keeps the bits of np.linspace(0, T, min(T, 512) + 1)
+    # cast to integers, duplicates dropped: every T to 3,000 and some far past
+    Ts = [*range(3001), *np.random.default_rng(5).integers(3001, 2**32 - 1, 1000).tolist()]
+    for T in Ts:
+        ts = np.linspace(0, T, num=min(T, simulate.DEFAULT_SAMPLES) + 1).astype(np.int64)
+        grid = simulate._sample_grid(T, None)
+        assert grid.dtype == np.int64 and np.array_equal(grid, np.unique(ts)), T
 
 
 def test_step_shares_the_memo(monkeypatch, triangle_spec):

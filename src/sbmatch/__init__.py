@@ -56,15 +56,11 @@ from .kernel import (
     verify_drift_chain,
 )
 from .simulate import (
-    SimState,
-    StepEvent,
     Trajectory,
     coupled_walk,
     final_states,
-    new_sim,
     run,
     run_replicas,
-    step,
 )
 from .analyze import (
     ConvergenceError,

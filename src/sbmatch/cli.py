@@ -89,6 +89,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_label(v) -> bool:
+    return isinstance(v, str) or _is_number(v)
+
+
 def _int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -128,7 +132,7 @@ def _parse_model(node) -> ModelSpec:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"model section needs classes, nu, rho: {exc}") from exc
     for label in _typed(classes, list, "classes"):
-        if not (isinstance(label, str) or _is_number(label)):
+        if not _is_label(label):
             raise ConfigError(f"class labels must be strings or numbers, got {label!r}")
     nu = [_parse_nu_entry(v) for v in _typed(nu_raw, list, "nu")]
     for row in _typed(rho, list, "rho"):
@@ -141,11 +145,20 @@ def _parse_model(node) -> ModelSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _label_index(spec: ModelSpec, label, what: str) -> int:
+    """The index of a class label.  The label must pass the model section's
+    label test, so true never finds class 1, though true == 1."""
+    if _is_label(label):
+        for k, c in enumerate(spec.classes):
+            if c == label:
+                return k
+    raise ConfigError(f"{what} label {label!r} is not a class label")
+
+
 def _alpha_from_labels(spec: ModelSpec, labels) -> tuple[int, ...]:
     """Priority list (highest first) to alpha values (largest wins ties)."""
-    index = [k for label in _typed(labels, list, "alpha")
-             for k, c in enumerate(spec.classes) if c == label]
-    if sorted(index) != list(range(spec.n_classes)) or len(index) != len(labels):
+    index = [_label_index(spec, label, "policy.alpha") for label in _typed(labels, list, "alpha")]
+    if sorted(index) != list(range(spec.n_classes)):
         raise ConfigError("alpha must list every class label exactly once")
     values = [0] * spec.n_classes
     for pos, k in enumerate(index):
@@ -175,10 +188,7 @@ def load_config(path: str) -> ScenarioConfig:
     rn = _typed(raw.get("run", {}), dict, "run")
     walk_set, labels = None, rn.get("walk_set")
     if labels is not None and _typed(labels, list, "run.walk_set"):  # null and [] walk nothing
-        for lb in labels:
-            if lb not in spec.classes:
-                raise ConfigError(f"run.walk_set label {lb!r} is not a class label")
-        walk_set = tuple(spec.classes.index(lb) for lb in labels)
+        walk_set = tuple(_label_index(spec, lb, "run.walk_set") for lb in labels)
         try:
             walk_spec(spec, walk_set)
         except InvalidModelError as exc:

@@ -9,8 +9,9 @@ for bit (0 when x(j) = 0 or rho(c, j) = 0); otherwise it joins its own
 class.  (The full-graph engine, which materializes every node and edge
 indicator, is a test oracle in tests/conftest.py.)
 
-run, final_states and step share one per-arrival core, SimState.advance, on
-a path that new_sim starts from its seed.
+run and final_states are the two ways in.  Each builds a path's generator
+from its seed, checks the path length once and serves the path with one
+block server, _serve.
 Every state x has one integer code, x(i) in field i of KEY_BITS bits,
 and, once a path visits it, a dense id: its C edges, one per arrival class,
 sit in C consecutive slots of one flat table.  An edge holds the match
@@ -28,9 +29,7 @@ A count never exceeds the arrivals served, so a path is refused past
 one table, which an lru_cache keeps until a call on another pair replaces
 it: no verb returns to a pair it has left.  A table holds at most
 CHOICE_MEMO_MAX slots: when a miss could pass that, the table and the memos
-are emptied in place and refilled from the current state (a flush).  step
-draws each arrival's class and then its probe when it is called, so its
-stream interleaves the two.
+are emptied in place and refilled from the current state (a flush).
 
 Streams are split by seed tuple: replica r of a batch with base seed s draws
 from SeedSequence((s, r)).  Nothing is ever seeded from the clock; a seed is
@@ -267,26 +266,21 @@ def _shared_choice(spec: ModelSpec, policy: PolicyConfig) -> _Choice:
     return _Choice(spec, policy)
 
 
-class SimState:
-    """One lazy-engine realization: its generator, counts and time."""
-
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
-        self.rng = rng
-        self.x = [0] * spec.n_classes
-        self.t = 0
-
-    def advance(self, choice: _Choice, arrivals: Sequence[int],
-                probes: Sequence[float]) -> bytearray | list[int]:
-        """Serve the given arrivals one by one, arrival k with the probe
-        uniform probes[k]: it matches iff that probe is below its edge's
-        p_yes.  Returns the move log, one move per arrival (see _Choice).
-        """
-        _check_path_length(self.t + len(arrivals))
-        table, miss = choice.table, choice.miss
+def _serve(choice: _Choice, rng: np.random.Generator, arrivals: np.ndarray
+           ) -> Iterator[tuple[int, bytearray | list[int], list[int]]]:
+    """Serve a path's arrivals from the origin in blocks of BLOCK, each with
+    as many probe uniforms drawn from rng: arrival k matches iff its probe is
+    below its edge's p_yes.  Yields each block's first index, its move log,
+    one move per arrival (see _Choice), and the counts after it."""
+    table, miss = choice.table, choice.miss
+    x = [0] * choice.n
+    for start in range(0, len(arrivals), BLOCK):
+        block = arrivals[start:start + BLOCK]
+        probes = memoryview(rng.random(len(block)))  # yields floats, like tolist, but lazily
         log = choice.log_type()
         append = log.append
-        s = choice.start(self.x)
-        for c, u in zip(arrivals, probes):
+        s = choice.start(x)
+        for c, u in zip(block.tolist(), probes):
             p_yes, base_yes, m_yes, base_no, m_no = table[s + c] or miss(s + c)
             if u < p_yes:
                 s = base_yes
@@ -294,67 +288,8 @@ class SimState:
             else:
                 s = base_no
                 append(m_no)
-        self.x = choice.counts(choice.codes[s // choice.n])
-        self.t += len(log)
-        return log
-
-
-def _serve(path: SimState, choice: _Choice,
-           arrivals: np.ndarray) -> Iterator[tuple[int, bytearray | list[int]]]:
-    """Serve a path's arrivals in blocks of BLOCK, each with as many probe
-    uniforms drawn from the path's generator; yields each block's first
-    index and move log."""
-    for start in range(0, len(arrivals), BLOCK):
-        block = arrivals[start:start + BLOCK]
-        probes = memoryview(path.rng.random(len(block)))  # yields floats, like tolist, but lazily
-        yield start, path.advance(choice, block.tolist(), probes)
-
-
-@dataclass(frozen=True)
-class StepEvent:
-    t: int
-    arrival: int
-    chosen: int
-    matched: bool
-    trials: int
-
-
-def new_sim(spec: ModelSpec, seed) -> SimState:
-    return SimState(spec, np.random.default_rng(_seed_seq(seed)))
-
-
-def _trials(u: float, r: float, n: int) -> int:
-    """The nodes a match probes: the least k <= n with
-    u < 1 - pow_int(1 - r, k), which holds at k = n, found by bisection."""
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if u < 1.0 - pow_int(1.0 - r, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def step(spec: ModelSpec, policy: PolicyConfig, sim: SimState) -> StepEvent:
-    """Draw one arrival's class and then its probe uniform, and serve it with
-    SimState.advance.
-
-    trials is the number of nodes probed: on a match, the least k with
-    u < 1 - (1 - rho(c, j)) ** k, the first hit of a geometric trial
-    sequence coupled to the probe; otherwise all x(j) of them (probing a
-    class with no edges burns all its nodes).
-    """
-    choice = _shared_choice(spec, policy)
-    c = int(_draw_arrivals(spec, 1, sim.rng)[0])
-    u = sim.rng.random()
-    p_yes, _, move, _, _ = choice.edge(c, sim.x)
-    j = move - choice.n
-    xj = sim.x[j]
-    sim.advance(choice, (c,), (u,))
-    matched = u < p_yes
-    return StepEvent(t=sim.t, arrival=c, chosen=j, matched=matched,
-                     trials=_trials(u, spec.rho[c][j], xj) if matched else xj)
+        x = choice.counts(choice.codes[s // choice.n])
+        yield start, log, x
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,21 +341,21 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
     on the same arrival stream and sampled on the same grid.
     """
     _check_path_length(T)  # before the T draws are made
-    path = new_sim(spec, seed)
-    arrivals = _draw_arrivals(spec, T, path.rng)
+    rng = np.random.default_rng(_seed_seq(seed))
+    arrivals = _draw_arrivals(spec, T, rng)
     C = spec.n_classes
 
     grid = _sample_grid(T, sample_every)
     samp_x = np.zeros((grid.size, C), dtype=np.int64)
     samp_erg = np.zeros(grid.size, dtype=np.float64)
     choice = _shared_choice(spec, policy)
-    x = np.zeros(C, dtype=np.int64)  # the counts before the block
+    x = [0] * C  # the counts before the block
     cum_norm, returns, first_return = 0.0, 0, None
-    for start, log in _serve(path, choice, arrivals):
+    for start, log, after in _serve(choice, rng, arrivals):
         X = choice.steps.take(np.asarray(log), axis=1)
         X[:, 0] += x
         X.cumsum(axis=1, out=X)  # (C, n): the counts after each arrival of the block
-        x = X[:, -1].copy()
+        x = after
         top = X.max(axis=0)
         empty = (top == 0).nonzero()[0]
         returns += empty.size
@@ -447,7 +382,7 @@ def run(spec: ModelSpec, policy: PolicyConfig, T: int, seed,
                       matched_pairs=(grid - samp_x.sum(axis=1)) // 2, perfect=sup == 0,
                       ergodic_avg=samp_erg, walks=walks,
                       returns_to_zero=returns, first_return=first_return,
-                      final_x=tuple(path.x), matched_total=(T - sum(path.x)) // 2)
+                      final_x=tuple(x), matched_total=(T - sum(x)) // 2)
 
 
 def run_replicas(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
@@ -465,8 +400,7 @@ def final_states(spec: ModelSpec, policy: PolicyConfig, T: int, base_seed: int,
     choice = _shared_choice(spec, policy)
     out = np.zeros((replicas, spec.n_classes), dtype=np.int64)
     for rep in range(replicas):
-        path = new_sim(spec, (base_seed, rep))
-        for _ in _serve(path, choice, _draw_arrivals(spec, T, path.rng)):
-            pass
-        out[rep] = path.x
+        rng = np.random.default_rng(_seed_seq((base_seed, rep)))
+        for _, _, x in _serve(choice, rng, _draw_arrivals(spec, T, rng)):
+            out[rep] = x
     return out

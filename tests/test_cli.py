@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -664,6 +665,23 @@ def test_an_unknown_walk_set_label_is_named_and_exits_2(tmp_path, capsys):
     assert "run.walk_set label 'z' is not a class label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,labels", [("alpha", [True, 0]), ("walk_set", [True])],
+                         ids=["alpha", "walk_set"])
+def test_a_boolean_is_not_a_class_label(tmp_path, capsys, key, labels):
+    # true == 1 in Python, but the model section refuses true as a label, so
+    # policy.alpha and run.walk_set must not find class 1 through it
+    doc = {"model": {"classes": [0, 1], "nu": ["1/2", "1/2"], "rho": [[0.0, 0.5], [0.5, 0.0]]},
+           "policy": {}, "run": {"T": 10, "base_seed": 1}}
+    doc["policy" if key == "alpha" else "run"][key] = labels
+    cfg = write_cfg(tmp_path, doc)
+    for verb in ("ncond", "simulate"):
+        assert main(["--config", cfg, verb]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert f"{key} label True is not a class label" in captured.err, captured.err
+
+
 @pytest.mark.parametrize("value", [None, []])
 def test_a_null_or_empty_walk_set_walks_nothing(tmp_path, value):
     doc = sweep_cfg()
@@ -800,6 +818,29 @@ def test_readme_config_loads_and_sets_only_keys_the_loader_reads(tmp_path):
         if path[:4] == ("sweep", "models", 0, "model"):
             path = path[3:]  # a sweep entry's model is read like the model section
         assert path in CONFIG_PATHS, path
+
+
+def test_readme_commands_run_on_the_readme_config(tmp_path, capsys):
+    # the seven lines of the "Command line" block, each on the config block,
+    # with every --out moved under tmp_path; only the negative control fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    lines = section.split("```\n", 1)[1].split("```", 1)[0].splitlines()
+    block = section.split("A config looks like:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = write_cfg(tmp_path, json.loads(block))
+    codes = []
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[:3] == ["sbmatch", "--config", "cfg.json"], line
+        argv[2] = cfg
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        codes.append(main(argv[1:]))
+        assert capsys.readouterr().err == "", line
+    assert len(lines) == 7
+    assert codes == [1 if "--corrupt-kernel" in line else 0 for line in lines]
+    assert (tmp_path / "runs.csv").stat().st_size and (tmp_path / "sweep.csv").stat().st_size
 
 
 @pytest.mark.parametrize("rho,code", [(7e-4, 0), (1e-20, 2)])

@@ -374,6 +374,31 @@ def test_chain_detects_selfloop_border_violation():
     assert check_main_drift(spec, pol, (5, 15, 15, 15)).passed
 
 
+def bordered_selfloop(ell):
+    """mixed_selfloop with its self-loop class d bordering a at rate ell."""
+    base = scenarios.mixed_selfloop()
+    rho = [list(row) for row in base.rho]
+    rho[0][3] = rho[3][0] = ell
+    return make_spec(base.classes, base.nu_exact, rho)
+
+
+@pytest.mark.parametrize("ell,failures", [(0.2, 33), (0.5, 4912)])
+def test_a_bordering_selfloop_class_breaks_only_the_selfloops_step(ell, failures):
+    # ROADMAP item 8's finding, recorded at radius 16 under w1: the appendix
+    # chain fails its selfloops step alone, while the drift bound it serves
+    # holds at every state of the ball; the margin stays 1/5
+    spec = bordered_selfloop(ell)
+    pol = make_policy(spec, W1)
+    assert stability(spec).eta_exact == Fraction(1, 5)
+    bad = dict.fromkeys(("threshold", "selfloops", "independent", "certain_match", "margin"), 0)
+    for _, steps in chain_sweep(spec, pol, 16):
+        for st in steps:
+            bad[st.name] += int(np.count_nonzero(st.applicable & ~st.passed))
+    assert bad == {"threshold": 0, "selfloops": failures, "independent": 0,
+                   "certain_match": 0, "margin": 0}
+    assert all(st.passed.all() for _, st in drift_sweep(spec, pol, 16))
+
+
 def test_reachable_check_bipartite_cap(bipartite_spec):
     pol = make_policy(bipartite_spec)
     rep = reachable_check(bipartite_spec, pol, 6)

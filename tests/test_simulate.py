@@ -19,14 +19,11 @@ from sbmatch import (
     final_states,
     make_policy,
     make_spec,
-    new_sim,
     propagate_distribution,
     run,
     run_replicas,
     select_class,
     stability,
-    step,
-    transition_row,
 )
 from sbmatch import scenarios, simulate
 from sbmatch.kernel import box_moves, move_tables, pow_int
@@ -72,62 +69,28 @@ def test_same_seed_reproduces_everything(triangle_spec):
 
 
 def test_step_events_have_consistent_bookkeeping(triangle_spec):
+    # every arrival sampled: each moves one class by one, a match takes a
+    # pair away, so the parity of sum x follows t
     pol = make_policy(triangle_spec)
-    sim = new_sim(triangle_spec, 9)
-    matched = 0
-    for t in range(1, 201):
-        ev = step(triangle_spec, pol, sim)
-        matched += ev.matched
-        assert ev.t == t == sim.t
-        assert sum(sim.x) + 2 * matched == t
-        assert sum(sim.x) % 2 == t % 2
+    tr = run(triangle_spec, pol, 200, 9, sample_every=1)
+    assert np.array_equal(tr.t_grid, np.arange(201))
+    d = np.diff(tr.x, axis=0)
+    assert np.array_equal(np.abs(d).sum(axis=1), np.ones(200))
+    matched = (d.sum(axis=1) < 0).cumsum()
+    assert np.array_equal(tr.matched_pairs[1:], matched) and matched[-1] > 0
+    assert np.array_equal(tr.x.sum(axis=1) % 2, tr.t_grid % 2)
+    assert (tr.matched_total, tr.final_x) == (matched[-1], tuple(tr.x[-1]))
 
 
 def test_step_trials_when_rate_is_zero():
-    spec = scenarios.bipartite(Fraction(1, 2), r=0.0)  # no edges at all
+    # no edges at all: every probe fails whatever class the policy targets,
+    # so every arrival joins its own class and no pair ever matches
+    spec = scenarios.bipartite(Fraction(1, 2), r=0.0)
     pol = make_policy(scenarios.bipartite(Fraction(1, 2)))
-    sim = new_sim(spec, 3)
-    events = [step(spec, pol, sim) for _ in range(50)]
-    assert all(not ev.matched for ev in events)
-    # scanning x incompatible nodes burns x trials even though none can match
-    assert any(ev.trials > 0 for ev in events)
-    assert sum(sim.x) == 50
-
-
-@pytest.mark.parametrize("weight", [W1, W2])
-def test_step_trials_when_rate_is_positive(weight):
-    # every class pair has an edge, so each probe is a geometric draw capped
-    # at the targeted count
-    spec = make_spec("ab", (0.45, 0.55), ((0.3, 0.6), (0.6, 0.2)))
-    pol = make_policy(spec, weight)
-    sim = new_sim(spec, 5)
-    matched = missed = 0
-    for _ in range(3000):
-        xj = list(sim.x)
-        ev = step(spec, pol, sim)
-        xj = xj[ev.chosen]
-        if ev.matched:
-            assert 1 <= ev.trials <= xj
-            matched += 1
-        else:
-            assert ev.trials == xj
-            missed += xj > 0
-    assert matched > 100 and missed > 100
-
-
-def test_single_step_distribution_matches_kernel(bipartite_spec):
-    pol = make_policy(bipartite_spec)
-    n = 20000
-    for k, x0 in enumerate(((0, 2), (3, 1), (0, 0))):
-        row = transition_row(bipartite_spec, pol, "raw", x0).as_dict()
-        sim = new_sim(bipartite_spec, (77, k))
-        counts: dict = {}
-        for _ in range(n):
-            sim.x = list(x0)
-            step(bipartite_spec, pol, sim)
-            y = tuple(sim.x)
-            counts[y] = counts.get(y, 0) + 1
-        assert chi_square_ok(counts, row, n)
+    tr = run(spec, pol, 50, 3, sample_every=1)
+    assert tr.matched_total == 0 and not tr.matched_pairs.any()
+    assert np.array_equal(tr.x.sum(axis=1), tr.t_grid)
+    assert np.array_equal(final_states(spec, pol, 50, 3, 4).sum(axis=1), [50] * 4)
 
 
 def test_lazy_engine_matches_kernel_distribution():
@@ -483,7 +446,8 @@ def test_default_grid_is_numpys_linspace_truncated():
 
 
 def test_step_shares_the_memo(monkeypatch, triangle_spec):
-    # each (c, x) misses the table once, however many steps reach it
+    # each (c, x) misses the table once, however many arrivals of however
+    # many paths reach it
     calls = []
     miss = simulate._Choice.miss
 
@@ -496,29 +460,10 @@ def test_step_shares_the_memo(monkeypatch, triangle_spec):
         calls.clear()
         simulate._shared_choice.cache_clear()
         pol = make_policy(triangle_spec, weight)
-        sim = new_sim(triangle_spec, 3)
-        for _ in range(300):
-            step(triangle_spec, pol, sim)
+        run_replicas(triangle_spec, pol, 300, 3, 2)
+        final_states(triangle_spec, pol, 300, 3, 2)
         table = simulate._shared_choice(triangle_spec, pol).table
         assert len(calls) == sum(e is not None for e in table) < 300
-
-
-@pytest.mark.parametrize("name", ["mixed_selfloop", "triangle", "path3"])
-def test_step_draws_the_class_as_draw_arrivals_does(name):
-    # step draws its class with one rng.random() and a bisection, then its
-    # probe with one more; the oracle draws the class with
-    # _draw_arrivals(spec, 1, rng) and the probe with rng.random(1) from a
-    # twin generator, and serves both with the core
-    spec = getattr(scenarios, name)()
-    pol = make_policy(spec)
-    sim, ref = new_sim(spec, 21), new_sim(spec, 21)
-    choice = simulate._shared_choice(spec, pol)
-    for _ in range(20_000):
-        ev = step(spec, pol, sim)
-        c = int(simulate._draw_arrivals(spec, 1, ref.rng)[0])
-        ref.advance(choice, (c,), ref.rng.random(1).tolist())
-        assert ev.arrival == c and sim.x == ref.x
-    assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -532,7 +477,7 @@ def test_engine_matches_scalar_oracle_across_blocks(monkeypatch, block):
 
 
 @pytest.mark.parametrize("weight", [W1, W2], ids=["w1", "w2"])
-@pytest.mark.parametrize("name", ["triangle", "mixed_selfloop", "path3"])
+@pytest.mark.parametrize("name", ["triangle", "mixed_selfloop", "path3", "bipartite"])
 def test_memo_edges_carry_the_kernels_match_probability(name, weight):
     # every (c, x) of {0..4}^C: the edge targets box_moves' class, and its
     # p_yes is 1 - m with m the kernel's miss probability, bit for bit

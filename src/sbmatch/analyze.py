@@ -166,14 +166,16 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
     balance equation dropped, which leaves a nonsingular system for the
     other states; _bicgstab solves it from b, the origin's one-step column.
     A residual above RESIDUAL_TOL after STATIONARY_RUNS runs raises
-    ConvergenceError rather than returning a bad estimate.
+    ConvergenceError rather than returning a bad estimate; it names the
+    steps taken and the step budget fixed before the solve, STATIONARY_RUNS
+    runs of at most 10 (n - 1) steps each.
     """
     import scipy.sparse as sp
 
     A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
     b = chain.P[0].toarray().ravel()[1:]  # minus the origin's column of I - P^T
     rest = b
-    iterations = 0
+    iterations, budget = 0, STATIONARY_RUNS * 10 * len(b)
     for _ in range(STATIONARY_RUNS):
         rest, steps = _bicgstab(A, b, rest)
         iterations += steps
@@ -183,7 +185,8 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
         if residual <= RESIDUAL_TOL:
             break
     else:
-        raise ConvergenceError(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        raise ConvergenceError(f"stationary residual {residual:.3e} after {iterations} of "
+                               f"at most {budget} steps exceeds {RESIDUAL_TOL:.1e}")
 
     return StationaryEstimate(
         pi=pi,

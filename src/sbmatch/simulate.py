@@ -18,7 +18,10 @@ sit in C consecutive slots of one flat table.  An edge holds the match
 probability, and the successor's table base and the move of a match and of
 a miss; a miss of the table builds it from select_class's choice (under W1,
 from the integer rule that equals it), with the weights and the match
-probability read from memos by count, and enters both successors.  So each
+probability read from memos by count, and enters the successors a probe can
+reach: a match's when the match probability is above 0, a miss's when it is
+below 1.  From a count n_sure(rho) on, fixed per rate, the match probability
+is exactly 1 in floats, so a miss there reads it without a memo.  So each
 arrival costs one list index, one compare and one entry on a move log; run
 then works out the grid samples, the matched pairs (t - sum x) / 2, the
 running sup-norm sum behind ergodic_avg, the returns to zero and the final
@@ -38,6 +41,7 @@ always required.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from struct import Struct
@@ -53,7 +57,7 @@ from .policy import W1, PolicyConfig, State, top_class
 from .policy import select_class  # noqa: F401
 
 # Most slots, C per state, one table of edges may hold.  A full table takes
-# about 16 MB under CPython 3.11 (about 120 bytes a slot); its memos add at
+# about 17 MB under CPython 3.11 (about 130 bytes a slot); its memos add at
 # most C + 1 entries per built edge.
 CHOICE_MEMO_MAX = 1 << 17
 # Width of each field of a state's code; a path serves fewer than
@@ -99,6 +103,18 @@ def _draw_arrivals(spec: ModelSpec, T: int, rng: np.random.Generator) -> np.ndar
     return np.minimum(idx, spec.n_classes - 1, out=idx).astype(np.int64, copy=False)
 
 
+def _n_sure(q: float) -> int:
+    """A count n_sure from which 1.0 - pow_int(q, n) is exactly 1.0: the
+    least n with q ** n <= 2**-60 by logs, a margin that puts pow_int's
+    result below 2**-54, whatever its rounding, and 1.0 minus that rounds to
+    1.0.  1 when q is 0; past every count a path reaches when q is 1.0."""
+    if q == 0.0:
+        return 1
+    if q == 1.0:
+        return 1 << KEY_BITS
+    return math.ceil(-60.0 / math.log2(q))
+
+
 class _Memo(dict):
     """f(n) by count n, each computed on the first lookup of n."""
 
@@ -128,7 +144,7 @@ class _Choice:
     move of a match and of a miss.  Move c is a count added to class c; move
     C + j is a count taken from class j, the targeted class, which m_yes
     names even when p_yes is 0 (base_yes is then None, as no probe is below
-    0).
+    0); base_no is None when p_yes is 1.0, as every probe is below 1.
 
     A miss takes select_class's choice without calling it: it reads the
     weight w(x(j), rho(c, j)) of every class j from weights[c][j], a memo
@@ -139,17 +155,19 @@ class _Choice:
     class with the largest alpha when all their counts are 0 and every
     weight ties at 0; miss computes that inline.  p_yes is read from
     p_yes[c][j], a memo by the count x(j) of 1 - pow_int(1 - rho(c, j),
-    x(j)).  A miss adds at most C + 1 memo entries.  The table holds at
-    most CHOICE_MEMO_MAX slots: a miss that could pass that, or a new state
-    that would, first empties it and the memos (flush) and enters the
-    current state again.  A miss enters at most two states, so the bound
-    holds whenever CHOICE_MEMO_MAX >= 3C.
+    x(j)), while x(j) is below sure[c][j] = _n_sure(1 - rho(c, j)); from
+    that count on p_yes is 1.0 and the memo is not read.  A miss enters the
+    successors a probe can reach and adds at most C + 1 memo entries.  The
+    table holds at most CHOICE_MEMO_MAX slots: a miss that could pass that,
+    or a new state that would, first empties it and the memos (flush) and
+    enters the current state again.  A miss enters at most two states, so
+    the bound holds whenever CHOICE_MEMO_MAX >= 3C.
     """
 
     def __init__(self, spec: ModelSpec, policy: PolicyConfig):
         self.ids: dict[int, int] = {}
         self.codes: list[int] = []
-        self.table: list[tuple[float, int | None, int, int, int] | None] = []
+        self.table: list[tuple[float, int | None, int, int | None, int] | None] = []
         self.alpha = policy.alpha
         self.n = C = spec.n_classes
         self.blank = [None] * C
@@ -180,6 +198,7 @@ class _Choice:
         self.weights = None if policy.weight is W1 else \
             [[weight[r] for r in row] for row in spec.rho]
         self.p_yes = [[p_yes[r] for r in row] for row in spec.rho]
+        self.sure = [[_n_sure(1.0 - r) for r in row] for row in spec.rho]
         self.memos = [*weight.values(), *p_yes.values()]
 
     def code(self, x: Sequence[int]) -> int:
@@ -215,7 +234,7 @@ class _Choice:
             self.flush()
         return self.enter(code)
 
-    def miss(self, slot: int) -> tuple[float, int | None, int, int, int]:
+    def miss(self, slot: int) -> tuple[float, int | None, int, int | None, int]:
         """Build and store the edge of table slot slot."""
         C, units, table, ids, codes = self.n, self.units, self.table, self.ids, self.codes
         code, c = codes[slot // C], slot % C
@@ -233,12 +252,12 @@ class _Choice:
                 s = v * scale + a
                 if s > score:
                     j, score, xj = i, s, v
-        p_yes = self.p_yes[c][j][xj]
+        p_yes = 1.0 if xj >= self.sure[c][j] else self.p_yes[c][j][xj]
         if len(table) + 2 * C > CHOICE_MEMO_MAX:
             self.flush()
             slot = self.enter(code) + c
-        # both successors entered as enter enters them
-        base_yes = None
+        # the successors a probe can reach, entered as enter enters them
+        base_yes = base_no = None
         if p_yes > 0.0:
             to = code - units[j]
             base_yes = ids.get(to)
@@ -246,16 +265,17 @@ class _Choice:
                 base_yes = ids[to] = len(table)
                 codes.append(to)
                 table += self.blank
-        to = code + units[c]
-        base_no = ids.get(to)
-        if base_no is None:
-            base_no = ids[to] = len(table)
-            codes.append(to)
-            table += self.blank
+        if p_yes < 1.0:
+            to = code + units[c]
+            base_no = ids.get(to)
+            if base_no is None:
+                base_no = ids[to] = len(table)
+                codes.append(to)
+                table += self.blank
         table[slot] = edge = (p_yes, base_yes, C + j, base_no, c)
         return edge
 
-    def edge(self, c: int, x: Sequence[int]) -> tuple[float, int | None, int, int, int]:
+    def edge(self, c: int, x: Sequence[int]) -> tuple[float, int | None, int, int | None, int]:
         slot = self.start(x) + c
         return self.table[slot] or self.miss(slot)
 

@@ -370,6 +370,32 @@ def test_a_stationary_residual_miss_exits_2_without_out(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_a_spent_stationary_names_its_steps_and_budget(tmp_path, capsys, monkeypatch):
+    # no residual meets a gate of 0, so every run is spent: the error names
+    # the steps the runs took and the budget of STATIONARY_RUNS runs of at
+    # most 10 (n - 1) steps, and the verb exits 2 with that one line
+    monkeypatch.setattr(analyze, "RESIDUAL_TOL", 0.0)
+    solve, steps = analyze._bicgstab, []
+
+    def counted(A, b, x0):
+        x, n = solve(A, b, x0)
+        steps.append(n)
+        return x, n
+
+    monkeypatch.setattr(analyze, "_bicgstab", counted)
+    cfg = write_cfg(tmp_path, dict(triangle_cfg(), analyze={"cap": 4}))
+    spec = load_config(cfg).spec
+    chain = analyze.truncate(spec, make_policy(spec), 4)
+    with pytest.raises(analyze.ConvergenceError) as exc:
+        analyze.stationary(chain)
+    budget = analyze.STATIONARY_RUNS * 10 * (chain.n_states - 1)
+    assert len(steps) == analyze.STATIONARY_RUNS and 0 < sum(steps) < budget
+    assert f" after {sum(steps)} of at most {budget} steps exceeds 0.0e+00" in str(exc.value)
+    assert main(["--config", cfg, "stationary"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {exc.value}\n")
+
+
 @pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "dash"])
 def test_drift_without_an_out_file_writes_the_csv_to_stdout(tmp_path, capsys, out):
     cfg = write_cfg(tmp_path, triangle_cfg())

@@ -312,6 +312,57 @@ def test_the_edge_table_flushes_at_its_bound(monkeypatch):
     assert len(simulate._shared_choice(spec, pol).table) <= simulate.CHOICE_MEMO_MAX
 
 
+def assert_entered_states_are_reachable(choice):
+    # an edge leads to a successor exactly when a probe in [0, 1) can take
+    # it, and every state in the table is one a built edge can take, but the
+    # one at base 0: a path's start, or the state entered again after a flush
+    reached = {0}
+    for edge in filter(None, choice.table):
+        p_yes, base_yes, _, base_no, _ = edge
+        assert (base_yes is None) == (p_yes == 0.0) and (base_no is None) == (p_yes == 1.0)
+        reached.update(b for b in (base_yes, base_no) if b is not None)
+    assert reached == set(range(0, len(choice.table), choice.n))
+
+
+def test_the_table_enters_only_states_a_probe_can_reach():
+    # criterion 5's unstable replicas, then each sweep model's paths on
+    # sweep/w1's seeds; on the unstable models the counts grow linearly and
+    # most match probabilities are exactly 1
+    bip = scenarios.bipartite(Fraction(3, 5))
+    pol = make_policy(bip)
+    simulate._shared_choice.cache_clear()
+    run_replicas(bip, pol, 100_000, 1905, 100, sample_every=100_000)
+    choice = simulate._shared_choice(bip, pol)
+    assert_entered_states_are_reachable(choice)
+    assert sum(e is not None and e[0] == 1.0 for e in choice.table) > 10_000
+    models = (scenarios.bipartite(Fraction(1, 2)), bip, scenarios.triangle(),
+              scenarios.mixed_selfloop())
+    for row, spec in enumerate(models):
+        pol = make_policy(spec, W1)
+        simulate._shared_choice.cache_clear()
+        for r in range(2):
+            run(spec, pol, 4000, (1, row, r))
+        assert_entered_states_are_reachable(simulate._shared_choice(spec, pol))
+
+
+@pytest.mark.parametrize("rho", [1e-15, 4e-8, 1e-3, 0.3, 0.5, 0.7, 1 - 1e-12, 1.0])
+def test_the_match_probability_is_one_from_n_sure_on(rho):
+    # unless n_sure is past every count a path reaches, 1 - pow_int(1 - rho, n)
+    # is exactly 1.0 at the 10**4 counts from n_sure on and at 1,000 counts
+    # sampled up to the largest; the edges just below n_sure and at it keep
+    # the bits of 1 - pow_int
+    choice = simulate._Choice(scenarios.single_selfloop(rho), PolicyConfig(W1, (1,), 1))
+    n_sure, q, top = choice.sure[0][0], 1.0 - rho, (1 << simulate.KEY_BITS) - 1
+    assert n_sure >= 1
+    if n_sure <= top:
+        sampled = np.random.default_rng(5).integers(n_sure, top, 1000, endpoint=True).tolist()
+        for n in [*range(n_sure, n_sure + 10**4 + 1), *sampled]:
+            assert 1.0 - pow_int(q, n) == 1.0, n
+        for n in (n_sure - 1, n_sure):
+            p_yes, _, _, base_no, _ = choice.edge(0, (n,))
+            assert p_yes == 1.0 - pow_int(q, n) and (base_no is None) == (p_yes == 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_w1_misses_choose_as_select_class(data):

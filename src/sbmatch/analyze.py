@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -100,10 +100,33 @@ def _parity_component(chain: TruncatedChain, pi: np.ndarray, l: int) -> np.ndarr
 
 def _converged(r: np.ndarray, atol: float, steps: int) -> bool:
     """|r| < atol; raises ConvergenceError when |r| is not finite."""
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(np.dot(r, r))  # np.linalg.norm of a real vector
     if not math.isfinite(norm):
         raise ConvergenceError(f"BiCGSTAB residual is {norm} after {steps} steps")
     return norm < atol
+
+
+def _csr_product(A: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], None]:
+    """product(v, out) writes A @ v into out, bit for bit.
+
+    It calls the CSR kernel that A @ v itself ends in,
+    scipy.sparse._sparsetools.csr_matvec, which adds each row's products in
+    storage order onto out; out is zeroed first, as A @ v zeroes its fresh
+    result.  It skips the dispatch of A @ v and its allocation.  The kernel
+    is a private name of scipy: the CI pin of scipy guards this call.
+    """
+    from scipy.sparse._sparsetools import csr_matvec
+
+    if A.format != "csr" or A.dtype != np.float64:
+        raise TypeError(f"a float64 CSR matrix is needed, got {A.format} {A.dtype}")
+    n_row, n_col = A.shape
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    def product(v: np.ndarray, out: np.ndarray) -> None:
+        out.fill(0.0)
+        csr_matvec(n_row, n_col, indptr, indices, data, v, out)
+
+    return product
 
 
 def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int]:
@@ -118,42 +141,56 @@ def _bicgstab(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarr
     stationary's b is never 0, as the origin stores every arrival class.
     A residual that is not finite, which fails every stop test, raises
     ConvergenceError at once: the iterate can no longer meet any target.
+
+    A run allocates its vectors once and updates them in place, and each
+    product goes straight to scipy's CSR kernel (_csr_product), into a
+    preallocated vector; each update keeps scipy's IEEE operations.
     """
-    atol = 1e-13 * float(np.linalg.norm(b))
+    product = _csr_product(A)
+    n = len(b)
+    atol = 1e-13 * math.sqrt(np.dot(b, b))
     tiny = np.finfo(float).eps ** 2
-    x = x0.copy()
-    r = b - A @ x
+    x = x0.astype(float)  # a copy: the caller's x0 is left as it is
+    r, p, v, t, tmp = (np.empty(n) for _ in range(5))
+    product(x, v)
+    np.subtract(b, v, out=r)
     rtilde = r.copy()
     steps = 0
-    for _ in range(10 * len(b)):
+    for _ in range(10 * n):
         if _converged(r, atol, steps):
             break
-        rho = np.dot(rtilde, r)
-        if np.abs(rho) < tiny:
+        rho = float(np.dot(rtilde, r))
+        if abs(rho) < tiny:
             break
         if steps:
-            if np.abs(omega) < tiny:
+            if abs(omega) < tiny:
                 break
             beta = (rho / rho_prev) * (alpha / omega)
-            p -= omega * v
+            np.multiply(v, omega, out=tmp)
+            p -= tmp
             p *= beta
             p += r
         else:
-            p = r.copy()
-        v = A @ p
-        rv = np.dot(rtilde, v)
+            np.copyto(p, r)
+        product(p, v)
+        rv = float(np.dot(rtilde, v))
         if rv == 0:
             break
         alpha = rho / rv
-        r -= alpha * v
+        np.multiply(v, alpha, out=tmp)
+        r -= tmp
+        np.multiply(p, alpha, out=tmp)
         if _converged(r, atol, steps):
-            x += alpha * p
+            x += tmp
             break
-        t = A @ r
-        omega = np.dot(t, r) / np.dot(t, t)
-        x += alpha * p
-        x += omega * r
-        r -= omega * t
+        product(r, t)
+        # numpy's division: t . t = 0 gives inf or nan, as in scipy, not an exception
+        omega = float(np.dot(t, r) / np.dot(t, t))
+        x += tmp
+        np.multiply(r, omega, out=tmp)
+        x += tmp
+        np.multiply(t, omega, out=tmp)
+        r -= tmp
         rho_prev = rho
         steps += 1
     return x, steps
@@ -172,8 +209,12 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
     """
     import scipy.sparse as sp
 
-    A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
-    b = chain.P[0].toarray().ravel()[1:]  # minus the origin's column of I - P^T
+    P = chain.P
+    A = (sp.identity(chain.n_states, format="csr") - P.T).tocsr()[1:, 1:]
+    first = slice(P.indptr[0], P.indptr[1])  # the origin's row; its columns are distinct
+    b = np.zeros(chain.n_states)
+    b[P.indices[first]] = P.data[first]
+    b = b[1:]  # minus the origin's column of I - P^T
     rest = b
     iterations, budget = 0, STATIONARY_RUNS * 10 * len(b)
     for _ in range(STATIONARY_RUNS):

@@ -392,12 +392,14 @@ def cmd_stationary(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
                                                           est.pi[b].tolist())) for b in blocks))
     doc = {
         "n_states": chain.n_states,
+        "nnz": chain.P.nnz,
         "cap": cfg.analyze.cap,
         "mean_sup_norm": est.mean_sup_norm,
         "residual": est.residual,
         "boundary_mass": est.boundary_mass,
         "even_sum": est.even_sum,
         "odd_sum": est.odd_sum,
+        "iterations": est.iterations,
         "mean_bound": bound if bound is None or math.isfinite(bound) else "inf",
         "bound_ok": bound_ok,
     }

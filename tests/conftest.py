@@ -154,20 +154,35 @@ def direct_stationary(chain) -> np.ndarray:
     return pi / pi.sum()
 
 
+def origin_pinned_system(chain) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(A, b) of analyze.stationary's solve: A = (I - P^T) without the
+    origin's row and column, b the origin's one-step column."""
+    A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
+    return A, chain.P[0].toarray().ravel()[1:]
+
+
+def scipy_bicgstab(A, b, x0) -> tuple[np.ndarray, int]:
+    """(x, callbacks) of scipy.sparse.linalg.bicgstab with rtol 1e-13 and
+    atol 0, the settings analyze._bicgstab reproduces."""
+    calls = 0
+
+    def count(_):
+        nonlocal calls
+        calls += 1
+
+    x, _ = spla.bicgstab(A, b, x0=x0, rtol=1e-13, atol=0.0, callback=count)
+    return x, calls
+
+
 def scipy_stationary(chain) -> tuple[np.ndarray, int]:
     """(pi, iterations) of analyze.stationary's solve run on
     scipy.sparse.linalg.bicgstab: the same origin-pinned system, rtol 1e-13,
     restarts and residual gate, with one iteration per callback."""
-    A = (sp.identity(chain.n_states, format="csr") - chain.P.T).tocsr()[1:, 1:]
-    b = chain.P[0].toarray().ravel()[1:]
+    A, b = origin_pinned_system(chain)
     rest, iterations = b, 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
     for _ in range(analyze.STATIONARY_RUNS):
-        rest, _ = spla.bicgstab(A, b, x0=rest, rtol=1e-13, atol=0.0, callback=count)
+        rest, steps = scipy_bicgstab(A, b, rest)
+        iterations += steps
         pi = np.concatenate(([1.0], np.where(rest > 0.0, rest, 0.0)))
         pi /= pi.sum()
         if float(np.abs(pi @ chain.P - pi).sum()) <= analyze.RESIDUAL_TOL:

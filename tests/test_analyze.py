@@ -24,7 +24,8 @@ from sbmatch import (
 )
 from sbmatch.policy import W1, W2
 
-from conftest import box_reach, direct_stationary, scalar_reachable, scalar_truncate, scipy_stationary
+from conftest import (box_reach, direct_stationary, origin_pinned_system, scalar_reachable,
+                      scalar_truncate, scipy_bicgstab, scipy_stationary)
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +128,14 @@ def test_reach_matches_breadth_first_order(name, p, weight, cap):
     assert np.array_equal(kernel._reach(*kernel._backward(up, down)), backward)
 
 
-@pytest.mark.parametrize("name,weight,cap", ORACLE_CASES, ids=lambda v: getattr(v, "name", v))
+# on an unstable model, on a long run (9,261 states, 227 steps) and on a box
+# that is only partly reached, besides ORACLE_CASES
+STATIONARY_CASES = TRUNCATE_CASES + [("path3", W1, 20)]
+
+
+@pytest.mark.parametrize("name,weight,cap", STATIONARY_CASES, ids=lambda v: getattr(v, "name", v))
 def test_stationary_matches_scipy_bicgstab_bit_for_bit(name, weight, cap):
-    spec = getattr(scenarios, name)()
+    spec = _case_spec(name)
     ch = truncate(spec, make_policy(spec, weight), cap)
     est = stationary(ch)
     pi, iterations = scipy_stationary(ch)
@@ -137,29 +143,68 @@ def test_stationary_matches_scipy_bicgstab_bit_for_bit(name, weight, cap):
     assert est.iterations == iterations
 
 
-class _CountedProducts:
-    """A matrix that counts its products with a vector."""
+def _bits(x):
+    return x.view(np.int64)
 
-    def __init__(self, A):
-        self.A, self.products = A, 0
 
-    def __matmul__(self, v):
-        self.products += 1
-        return self.A @ v
+@pytest.mark.parametrize("name,weight,cap", STATIONARY_CASES, ids=lambda v: getattr(v, "name", v))
+def test_bicgstab_restarts_from_its_own_result(name, weight, cap):
+    # stationary restarts the solve from its last result: the rerun must
+    # leave that result's bits alone and follow scipy from it, and it takes
+    # no step where the result's true residual already meets the target
+    spec = _case_spec(name)
+    A, b = origin_pinned_system(truncate(spec, make_policy(spec, weight), cap))
+    x, _ = analyze._bicgstab(A, b, b)
+    first = x.copy()
+    again, steps = analyze._bicgstab(A, b, x)
+    assert np.array_equal(_bits(x), _bits(first))
+    ref, callbacks = scipy_bicgstab(A, b, first.copy())
+    assert np.array_equal(_bits(again), _bits(ref)) and steps == callbacks
+    if np.linalg.norm(b - A @ first) < 1e-13 * np.linalg.norm(b):
+        assert steps == 0 and np.array_equal(_bits(again), _bits(first))
+
+
+@pytest.mark.parametrize("name,weight,cap", STATIONARY_CASES, ids=lambda v: getattr(v, "name", v))
+def test_csr_product_matches_matmul_bit_for_bit(name, weight, cap):
+    spec = _case_spec(name)
+    A, _ = origin_pinned_system(truncate(spec, make_policy(spec, weight), cap))
+    n = A.shape[0]
+    rng = np.random.default_rng(29)
+    special = rng.standard_normal(n)
+    special[rng.integers(n, size=3)] = [math.inf, -math.inf, math.nan]
+    product = analyze._csr_product(A)
+    out = np.full(n, 7.0)  # what out held before must not reach the product
+    for v in (rng.standard_normal(n), special):
+        product(v, out)
+        assert np.array_equal(_bits(out), _bits(A @ v))
+    with pytest.raises(TypeError, match="CSR"):
+        analyze._csr_product(A.tocsc())
 
 
 @pytest.mark.parametrize("x0,shown", [([1e300, 1.0], "inf"), ([math.nan, 1.0], "nan")],
                          ids=["overflow", "nan"])
-def test_bicgstab_stops_at_the_first_residual_that_is_not_finite(x0, shown):
+def test_bicgstab_stops_at_the_first_residual_that_is_not_finite(x0, shown, monkeypatch):
     # the first product overflows (or starts from NaN), so the first
     # residual is not finite and fails every stop test: the solve raises
     # there, where scipy's loop would run on through all its 10 n steps
     import scipy.sparse as sp
 
-    A = _CountedProducts(sp.csr_matrix(np.diag([1e300, 1.0])))
+    make, products = analyze._csr_product, []
+
+    def counted(A):
+        product = make(A)
+
+        def count(v, out):
+            products.append(v)
+            product(v, out)
+
+        return count
+
+    monkeypatch.setattr(analyze, "_csr_product", counted)
+    A = sp.csr_matrix(np.diag([1e300, 1.0]))
     with pytest.raises(analyze.ConvergenceError, match=f"residual is {shown} after 0 steps"):
         analyze._bicgstab(A, np.ones(2), np.array(x0))
-    assert A.products == 1
+    assert len(products) == 1
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])

@@ -443,10 +443,14 @@ def test_appendix_rows(tmp_path, capsys):
 def test_stationary_report(tmp_path, capsys):
     doc = {"model": {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}, "analyze": {"cap": 6}}
     out = tmp_path / "pi.csv"
-    assert main(["--config", write_cfg(tmp_path, doc),
-                 "--out", str(out), "stationary"]) == 0
+    path = write_cfg(tmp_path, doc)
+    assert main(["--config", path, "--out", str(out), "stationary"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["n_states"] == 7
+    # a birth-death chain: 6 steps up, 6 down, and the self-loop at the cap
+    assert rep["nnz"] == 13
+    spec = load_config(path).spec
+    assert rep["iterations"] == analyze.stationary(analyze.truncate(spec, make_policy(spec), 6)).iterations
     assert rep["mean_bound"] == pytest.approx(4.5)
     assert rep["bound_ok"] is True
     rows = read_csv(out)

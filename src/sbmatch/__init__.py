@@ -34,26 +34,14 @@ from .policy import (
     make_policy,
     n_star,
     select_class,
-    support,
     sup_norm,
 )
 from .kernel import (
-    ChainReport,
-    DriftReport,
     KernelError,
     ReachabilityReport,
-    TransitionRow,
-    check_main_drift,
-    drift_q,
     kernel_variant,
     propagate_distribution,
     reachable_check,
-    reduce_to_independent_support,
-    restrict_support,
-    theorem_bound,
-    threshold_map,
-    transition_row,
-    verify_drift_chain,
 )
 from .simulate import (
     Trajectory,

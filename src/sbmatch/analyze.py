@@ -243,7 +243,8 @@ def stationary(chain: TruncatedChain) -> StationaryEstimate:
 def invariant_mean_bound(spec: ModelSpec, policy: PolicyConfig) -> float:
     """Upper bound on the stationary mean sup norm implied by the drift
     certificate: (1 + 2 n* (1 + g) + 4 K (1 + #selfloop)) / (2 g) with
-    g = min(eta, smallest nu over self-loop classes)."""
+    g = min(eta, smallest nu over self-loop classes); inf where a positive
+    exact margin rounds 2 g to 0.0 or the quotient overflows."""
     graph = root_graph(spec)
     stab = stability(spec)
     if not stab.ncond:
@@ -252,6 +253,8 @@ def invariant_mean_bound(spec: ModelSpec, policy: PolicyConfig) -> float:
     # finite: eta is +inf only when no class is loop-free, and then every
     # class has a self-loop
     gap = min(stab.eta, floor_nu)
+    if 2.0 * gap == 0.0:
+        return math.inf
     n_plus = len(graph.selfloop_classes)
     return (1.0 + 2.0 * policy.n_star * (1.0 + gap) + 4.0 * graph.K * (1 + n_plus)) / (2.0 * gap)
 

@@ -131,9 +131,13 @@ def _parse_model(node) -> ModelSpec:
         classes, nu_raw, rho = node["classes"], node["nu"], node["rho"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"model section needs classes, nu, rho: {exc}") from exc
+    shown = set()  # the labels as the outputs print them
     for label in _typed(classes, list, "classes"):
         if not _is_label(label):
             raise ConfigError(f"class labels must be strings or numbers, got {label!r}")
+        if str(label) in shown:
+            raise ConfigError(f"class labels must print differently, {str(label)!r} repeats")
+        shown.add(str(label))
     nu = [_parse_nu_entry(v) for v in _typed(nu_raw, list, "nu")]
     for row in _typed(rho, list, "rho"):
         for v in _typed(row, list, "a rho row"):

@@ -19,9 +19,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
-from sbmatch import KernelError, ModelSpec, kernel_variant, make_spec, root_graph, transition_row
+from sbmatch import KernelError, ModelSpec, kernel_variant, make_spec, root_graph
 from sbmatch import analyze, scenarios
-from sbmatch.kernel import TransitionRow, _arrival_moves, _box_kernel, pow_int
+from sbmatch.kernel import TransitionRow, _arrival_moves, _box_kernel, pow_int, transition_row
 from sbmatch.policy import PolicyConfig, State, select_class, support
 from sbmatch.simulate import Trajectory, _draw_arrivals, _sample_grid, _seed_seq, coupled_walk
 

@@ -24,11 +24,10 @@ from sbmatch import (
     select_class,
     stability,
     stationary,
-    transition_row,
     truncate,
     tv_periodic,
 )
-from sbmatch.kernel import chain_sweep, drift_sweep
+from sbmatch.kernel import box_moves, chain_sweep, drift_sweep, move_tables, transition_row
 from sbmatch.policy import W1, W2
 
 from conftest import enumerate_exact_distribution, random_model, random_state
@@ -72,30 +71,44 @@ def triangle_station():
 
 
 def test_criterion_1_kernel_rows_are_unit_steps():
+    # the rows the verbs build: box_moves over each variant's move_tables,
+    # decrements to one target class merged over ascending arrival classes as
+    # _box_kernel merges them; each row must also be its scalar oracle's,
+    # transition_row's, bit for bit
     rng = np.random.default_rng(20240811)
     t0 = time.monotonic()
     triples = 0
     bad = 0
+    unlike = 0
     while triples < 10_000:
         spec = random_model(rng)
         pol = make_policy(spec, weight=W2 if rng.random() < 0.5 else W1)
-        for _ in range(20):
-            x = random_state(rng, spec.n_classes)
-            triples += 1
-            for variant in ("raw", "homogenized", "binarized"):
-                row = transition_row(spec, pol, variant, x)
-                if abs(row.total() - 1.0) > 1e-12:
-                    bad += 1
-                for y, p in row.entries:
+        X = np.array([random_state(rng, spec.n_classes) for _ in range(20)])
+        triples += len(X)
+        rows = np.arange(len(X))
+        for variant in ("raw", "homogenized", "binarized"):
+            p_yes = np.zeros(X.shape)  # per target class j
+            p_no = np.zeros(X.shape)  # per arrival class i
+            tables = move_tables(spec, pol, variant, int(X.max()))
+            for i, j, yes, no in box_moves(spec, pol, tables, X):
+                p_yes[rows, j] += yes
+                p_no[:, i] = no
+            total = p_yes.sum(axis=1) + p_no.sum(axis=1)
+            bad += int(np.count_nonzero(np.abs(total - 1.0) > 1e-12))
+            for x, down, up in zip(X.tolist(), p_yes.tolist(), p_no.tolist()):
+                moves = [(j, -1, p) for j, p in enumerate(down)] + [(i, 1, p) for i, p in enumerate(up)]
+                row = sorted((x[:k] + [x[k] + d] + x[k + 1:], p) for k, d, p in moves if p > 0.0)
+                for y, _ in row:
                     diffs = [yi - xi for yi, xi in zip(y, x)]
-                    if sorted(map(abs, diffs)) != [0] * (len(x) - 1) + [1]:
+                    if sorted(map(abs, diffs)) != [0] * (len(x) - 1) + [1] or min(y) < 0:
                         bad += 1
-            if triples >= 10_000:
-                break
+                oracle = transition_row(spec, pol, variant, x).entries
+                if tuple((tuple(y), p) for y, p in row) != oracle:
+                    unlike += 1
     elapsed = time.monotonic() - t0
-    report(1, bad == 0 and elapsed < 10.0,
-           f"{triples} random states x 3 kernel variants, {bad} violations, "
-           f"{elapsed:.1f}s (budget 10s)")
+    report(1, bad == 0 and unlike == 0 and elapsed < 10.0,
+           f"{triples} random states x 3 kernel variants as box_moves rows, {bad} violations, "
+           f"{unlike} rows unlike transition_row's, {elapsed:.1f}s (budget 10s)")
 
 
 def test_criterion_2_drift_bound_sweep():

@@ -13,6 +13,7 @@ from sbmatch import (
     invariant_mean_bound,
     kernel,
     make_policy,
+    make_spec,
     reachable_check,
     run,
     run_replicas,
@@ -323,6 +324,18 @@ def test_mean_bound_values():
     assert invariant_mean_bound(tri, make_policy(tri, W2)) == pytest.approx(23.674, abs=1e-4)
     solo = scenarios.single_selfloop(0.5)
     assert invariant_mean_bound(solo, make_policy(solo)) == pytest.approx(4.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("digits", [400, 310])  # eta rounds to 0.0; eta is subnormal
+def test_mean_bound_is_inf_at_a_margin_below_the_float_range(digits):
+    e = Fraction(1, 10 ** digits)
+    half = Fraction(1, 2)
+    spec = make_spec(("a", "b", "c"), (half - e, (half + e) / 2, (half + e) / 2),
+                     scenarios.triangle().rho)
+    stab = stability(spec)
+    assert stab.ncond and stab.eta_exact == 2 * e
+    assert (stab.eta == 0.0) == (digits == 400)
+    assert invariant_mean_bound(spec, make_policy(spec)) == math.inf
 
 
 def test_mean_bound_requires_stability(bipartite_spec):

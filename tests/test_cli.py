@@ -77,6 +77,11 @@ def test_config_rejections(tmp_path):
         load_config(write_cfg(tmp_path, bad, "c.json"))
     with pytest.raises(ConfigError, match="model"):
         load_config(write_cfg(tmp_path, {"run": {}}, "d.json"))
+    # labels the outputs would print alike: the header's x_1 twice
+    bad = triangle_cfg()
+    bad["model"]["classes"] = [1, "1", "c"]
+    with pytest.raises(ConfigError, match="print differently, '1' repeats"):
+        load_config(write_cfg(tmp_path, bad, "e.json"))
     assert main(["--config", str(tmp_path / "missing.json"), "ncond"]) == 2
 
 
@@ -458,6 +463,22 @@ def test_stationary_report(tmp_path, capsys):
     assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_stationary_with_a_margin_below_the_float_range(tmp_path, capsys):
+    # eta_exact = 2e-400 > 0 prints as eta 0.0; the mean bound is then inf
+    e = Fraction(1, 10 ** 400)
+    doc = triangle_cfg()
+    doc["model"]["nu"] = [str(Fraction(1, 2) - e), str((Fraction(1, 2) + e) / 2),
+                          str((Fraction(1, 2) + e) / 2)]
+    doc["analyze"] = {"cap": 4}
+    path = write_cfg(tmp_path, doc)
+    assert main(["--config", path, "ncond"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert Fraction(rep["eta_exact"]) > 0 and rep["eta"] == 0.0
+    assert main(["--config", path, "--out", str(tmp_path / "pi.csv"), "stationary"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mean_bound"] == "inf" and rep["bound_ok"] is True
+
+
 @pytest.mark.parametrize("solver", ["power", "lu", ["power"]], ids=["power", "lu", "power-list"])
 def test_a_leftover_solver_key_is_ignored(tmp_path, capsys, solver):
     doc = {"model": {"classes": ["s"], "nu": ["1"], "rho": [[0.5]]}, "analyze": {"cap": 6}}
@@ -468,6 +489,21 @@ def test_a_leftover_solver_key_is_ignored(tmp_path, capsys, solver):
                      "--out", str(tmp_path / "pi.csv"), "stationary"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("section", [(), ("model",), ("policy",), ("run",), ("analyze",),
+                                     ("sweep",), ("sweep", "models", 0),
+                                     ("sweep", "models", 0, "model")])
+def test_load_config_ignores_keys_it_does_not_read(tmp_path, section):
+    # perfbench's configs write analyze.solver and policy.n_check, which the
+    # loader no longer reads; refusing them would make those runs exit 2
+    doc = sweep_cfg()
+    plain = load_config(write_cfg(tmp_path, doc, "plain.json"))
+    node = doc
+    for key in section:
+        node = node[key]
+    node.update({"solver": "power", "n_check": 10_000, "note": ["x", {"T": None}]})
+    assert load_config(write_cfg(tmp_path, doc, "extra.json")) == plain
 
 
 @pytest.mark.parametrize("model,cap,warns", [
@@ -723,6 +759,7 @@ def test_a_null_or_empty_walk_set_walks_nothing(tmp_path, value):
     ("model", "classes", [["a"], "b", "c"]),   # unhashable label
     ("run", "T", "many"),
     ("model", "rho", [[0.0, "x", 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]]),
+    ("model", "classes", ["a", "nan", math.nan]),   # labels that print alike
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
     doc = triangle_cfg()

@@ -1,8 +1,11 @@
 """Cold-start checks, each in a fresh interpreter: importing the package and
 running the verbs that do no sparse linear algebra must not load scipy, and
 the one verb that does (stationary) must find its deferred imports and load
-scipy.sparse alone, without scipy.sparse.linalg or scipy.sparse.csgraph."""
+scipy.sparse alone, without scipy.sparse.linalg or scipy.sparse.csgraph.
+The package namespace leaves the scalar functions of one state, the array
+passes' test oracles, to their modules."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -88,3 +91,20 @@ def test_stationary_and_reachability_load_neither_linalg_nor_csgraph(tmp_path):
     for loaded in (after_stationary, after_reachability):
         for heavy in ("scipy.sparse.linalg", "scipy.sparse.csgraph"):
             assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")], heavy
+
+
+SCALAR_ORACLES = {
+    "kernel": ("TransitionRow", "transition_row", "drift_q", "theorem_bound", "DriftReport",
+               "check_main_drift", "threshold_map", "restrict_support",
+               "reduce_to_independent_support", "ChainReport", "verify_drift_chain"),
+    "policy": ("support",),
+}
+
+
+def test_the_scalar_oracles_are_attributes_of_their_modules_only():
+    import sbmatch
+    for mod, names in SCALAR_ORACLES.items():
+        module = importlib.import_module(f"sbmatch.{mod}")
+        for name in names:
+            assert not hasattr(sbmatch, name), f"sbmatch.{name}"
+            assert hasattr(module, name), f"sbmatch.{mod}.{name}"

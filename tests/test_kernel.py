@@ -13,24 +13,18 @@ from sbmatch import (
     KernelError,
     PolicyConfig,
     WeightFunction,
-    check_main_drift,
-    drift_q,
     kernel_variant,
     make_policy,
     make_spec,
     propagate_distribution,
     reachable_check,
-    reduce_to_independent_support,
-    restrict_support,
-    theorem_bound,
-    threshold_map,
-    transition_row,
-    verify_drift_chain,
 )
 from sbmatch import kernel, scenarios, truncate
-from sbmatch.kernel import (INEQ_TOL, chain_sweep, chain_tables, drift_q_over, drift_sweep,
-                            move_tables, pow_int, theorem_bound_over, transition_table,
-                            verify_drift_chain_over)
+from sbmatch.kernel import (INEQ_TOL, chain_sweep, chain_tables, check_main_drift, drift_q,
+                            drift_q_over, drift_sweep, move_tables, pow_int,
+                            reduce_to_independent_support, restrict_support, theorem_bound,
+                            theorem_bound_over, threshold_map, transition_row,
+                            transition_table, verify_drift_chain, verify_drift_chain_over)
 from sbmatch.model import root_graph, stability
 
 from conftest import (corrupted_drift_q, drift, quadratic, random_model, random_state,

@@ -38,10 +38,8 @@ from .policy import (
 )
 from .kernel import (
     KernelError,
-    ReachabilityReport,
     kernel_variant,
     propagate_distribution,
-    reachable_check,
 )
 from .simulate import (
     Trajectory,

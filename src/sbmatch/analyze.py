@@ -72,10 +72,28 @@ def truncate(spec: ModelSpec, policy: PolicyConfig, cap: int) -> TruncatedChain:
     transition_table, in sorted order with the origin first.  The box size
     (cap + 1) ** C is checked against kernel.BOX_MAX_STATES before anything
     is allocated.
+
+    A chain with a reached state other than the origin that has no step down
+    is refused with a ValueError naming the first such state.  Every move
+    changes one count by one unit and the states are sorted, so a step down
+    out of row k is exactly an entry left of the diagonal: the test compares
+    each row's first column with k.  It suffices for any weight: a reached
+    state steps down to a reached state, so by induction on the total count
+    every reached state has a way back to the origin, and stationary's
+    pinned solve (pi(origin) = 1) is well posed.  Under check_assumption's
+    hypothesis 1 (w(n, r) > 0 iff n > 0 and r > 0) it is also necessary in
+    exact arithmetic, since a state with no step down then holds only classes
+    with no compatible class, whose counts never fall.  So the refusal may be
+    conservative for a weight outside hypothesis 1, or for a positive rho
+    that rounds a match probability to 0.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     grid, P = transition_table(spec, policy, cap)
+    stuck = np.flatnonzero(P.indices[P.indptr[1:-1]] >= np.arange(1, len(grid)))
+    if len(stuck):
+        raise ValueError(f"state {tuple(grid[stuck[0] + 1].tolist())} has no step down: "
+                         f"the chain cannot return to the origin from it")
     norms = grid.max(axis=1)
     return TruncatedChain(spec=spec, policy=policy, cap=cap, states=grid,
                           P=P, sup_norms=norms,

@@ -14,10 +14,12 @@ config or --seed; there is no clock fallback).  The exit status is 0 only
 when every asserted check passes, 1 when a check fails, and 2 on usage or
 configuration errors, an --out that cannot be opened, an output whose
 reader closes before it is written (a broken pipe), a sweep box refused
-before it starts, a stationary solve that misses its residual target and an
-allocation that fails.  A verb that raises after its --out file is open
-removes the file (a regular file only: never a pipe or a device such as
-/dev/stdout); one that exits 1 keeps it whole.
+before it starts, a truncated chain with a reached state that cannot step
+down toward the origin (refused before the stationary solve), a stationary
+solve that misses its residual target and an allocation that fails.  A verb
+that raises after its --out file is open removes the file (a regular file
+only: never a pipe or a device such as /dev/stdout); one that exits 1 keeps
+it whole.
 """
 
 from __future__ import annotations
@@ -131,13 +133,9 @@ def _parse_model(node) -> ModelSpec:
         classes, nu_raw, rho = node["classes"], node["nu"], node["rho"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"model section needs classes, nu, rho: {exc}") from exc
-    shown = set()  # the labels as the outputs print them
     for label in _typed(classes, list, "classes"):
         if not _is_label(label):
             raise ConfigError(f"class labels must be strings or numbers, got {label!r}")
-        if str(label) in shown:
-            raise ConfigError(f"class labels must print differently, {str(label)!r} repeats")
-        shown.add(str(label))
     nu = [_parse_nu_entry(v) for v in _typed(nu_raw, list, "nu")]
     for row in _typed(rho, list, "rho"):
         for v in _typed(row, list, "a rho row"):

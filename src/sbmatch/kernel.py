@@ -608,15 +608,6 @@ def _reach(up: list[np.ndarray], down: list[np.ndarray]) -> np.ndarray:
             return reached.ravel()
 
 
-def _backward(up: list[np.ndarray], down: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(up, down) of the chain run backwards: it steps up from x where the
-    chain steps down from x + e_i, and down from x where the chain steps up
-    from x - e_i.  The rolls wrap only steps that are never there (down at
-    x_i = 0, up at x_i = cap)."""
-    return ([np.roll(d, -1, axis=i) for i, d in enumerate(down)],
-            [np.roll(u, 1, axis=i) for i, u in enumerate(up)])
-
-
 def transition_table(spec: ModelSpec, policy: PolicyConfig,
                      cap: int) -> tuple[np.ndarray, sp.csr_matrix]:
     """The raw kernel on the states of the box {0..cap}^C reachable from the
@@ -644,37 +635,6 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
                        np.concatenate([[0], np.cumsum(np.bincount(index[r], minlength=n))])),
                       shape=(n, n))
     return X[reached], P
-
-
-@dataclass(frozen=True)
-class ReachabilityReport:
-    cap: int
-    states_explored: int
-    all_return: bool
-    unreturned: tuple[State, ...]
-
-
-def reachable_check(spec: ModelSpec, policy: PolicyConfig, cap: int) -> ReachabilityReport:
-    """Explore the chain from the origin inside the sup-norm ball of radius
-    cap and verify every reached state has a positive-probability path back.
-
-    Requires every class to have at least one compatible class, since an
-    isolated class blocks all returns once one of its nodes arrives, and a
-    box (cap + 1) ** C of at most BOX_MAX_STATES states.  The reached states
-    are _reach's on the box kernel, the returning ones _reach's on the chain
-    run backwards; a state that the origin reaches steps only to reached
-    states, so its path back stays among them.
-    """
-    graph = root_graph(spec)
-    for i in range(graph.n_classes):
-        if not any(graph.adjacency[i]):
-            raise KernelError(f"class {spec.classes[i]!r} is isolated in the compatibility graph")
-    X, val, _ = _box_kernel(spec, policy, cap)
-    up, down = _steps(val > 0.0, cap)
-    reached = _reach(up, down)
-    missing = tuple(map(tuple, X[reached & ~_reach(*_backward(up, down))].tolist()))
-    return ReachabilityReport(cap=cap, states_explored=int(np.count_nonzero(reached)),
-                              all_return=not missing, unreturned=missing)
 
 
 def propagate_distribution(spec: ModelSpec, policy: PolicyConfig,

@@ -123,11 +123,18 @@ def make_spec(classes: Sequence, nu: Sequence, rho: Sequence[Sequence[float]]) -
     """Build and validate a ModelSpec.
 
     nu entries may be floats or Fractions.  Fractions are kept alongside the
-    float values, and the stability margin uses them as given.
+    float values, and the stability margin uses them as given.  The labels
+    must differ both by value and as str() prints them (the outputs name the
+    classes by str()), so two NaN labels or 1 and "1" are refused.
     """
     classes = tuple(classes)
     if len(classes) == 0:
         raise InvalidModelError("at least one class is required")
+    shown = set()
+    for label in classes:
+        if str(label) in shown:
+            raise InvalidModelError(f"class labels must print differently, {str(label)!r} repeats")
+        shown.add(str(label))
     if len(set(classes)) != len(classes):
         raise InvalidModelError("duplicate class labels")
 

@@ -14,7 +14,6 @@ from sbmatch import (
     kernel,
     make_policy,
     make_spec,
-    reachable_check,
     run,
     run_replicas,
     scenarios,
@@ -25,8 +24,8 @@ from sbmatch import (
 )
 from sbmatch.policy import W1, W2
 
-from conftest import (box_reach, direct_stationary, origin_pinned_system, scalar_reachable,
-                      scalar_truncate, scipy_bicgstab, scipy_stationary)
+from conftest import (box_reach, direct_stationary, origin_pinned_system, random_model,
+                      scalar_reachable, scalar_truncate, scipy_bicgstab, scipy_stationary)
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +105,7 @@ def test_truncate_matches_scalar_oracle(name, weight, cap):
     assert np.array_equal(ch.parity, parity)
     assert np.array_equal(ch.sup_norms, norms)
     assert np.array_equal(ch.boundary, boundary)
-    rep = reachable_check(spec, pol, cap)
-    assert (rep.states_explored, rep.unreturned) == scalar_reachable(spec, pol, cap)
+    assert scalar_reachable(spec, pol, cap) == (ch.n_states, ())
 
 
 @pytest.mark.parametrize("name,p,weight,cap",
@@ -117,16 +115,38 @@ def test_truncate_matches_scalar_oracle(name, weight, cap):
                          + [("single_selfloop", 0.01, W1, 200_000)],
                          ids=lambda v: getattr(v, "name", v))
 def test_reach_matches_breadth_first_order(name, p, weight, cap):
-    # over the whole box, forward from the origin and backward to it; at
-    # p = 0.01 the origin reaches 74,142 of the 200,001 states, and every
-    # state reaches the origin
+    # over the whole box, forward from the origin; at p = 0.01 the origin
+    # reaches 74,142 of the 200,001 states, and every reached state reaches
+    # the origin
     spec = _case_spec(name) if p is None else scenarios.single_selfloop(p)
     pol = make_policy(spec, weight)
     _, val, _ = kernel._box_kernel(spec, pol, cap)
-    up, down = kernel._steps(val > 0.0, cap)
     forward, backward = box_reach(spec, pol, cap)
-    assert np.array_equal(kernel._reach(up, down), forward)
-    assert np.array_equal(kernel._reach(*kernel._backward(up, down)), backward)
+    assert np.array_equal(kernel._reach(*kernel._steps(val > 0.0, cap)), forward)
+    assert backward[forward].all()
+
+
+def test_truncate_refuses_exactly_the_chains_with_no_way_back():
+    # 400 random models, each under w1 and w2 at one cap of 1..5: truncate
+    # refuses when breadth-first search finds a reached state that cannot
+    # return to the origin, and names the first such state
+    rng = np.random.default_rng(31)
+    refused = 0
+    for k in range(400):
+        spec = random_model(rng)
+        cap = 1 + k % 5
+        for weight in (W1, W2):
+            pol = make_policy(spec, weight)
+            explored, unreturned = scalar_reachable(spec, pol, cap)
+            if not unreturned:
+                assert truncate(spec, pol, cap).n_states == explored
+                continue
+            refused += 1
+            with pytest.raises(ValueError) as exc:
+                truncate(spec, pol, cap)
+            assert str(exc.value) == (f"state {unreturned[0]} has no step down: "
+                                      f"the chain cannot return to the origin from it")
+    assert refused > 0
 
 
 # on an unstable model, on a long run (9,261 states, 227 steps) and on a box

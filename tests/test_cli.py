@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import astuple, fields
 from fractions import Fraction
 from pathlib import Path
@@ -523,6 +524,26 @@ def test_stationary_warns_on_a_heavy_rim(tmp_path, capsys, model, cap, warns):
         assert captured.err.startswith("warning: boundary mass") and captured.err.count("\n") == 1
     else:
         assert captured.err == ""
+
+
+@pytest.mark.parametrize("rho,cap", [
+    # class c has no compatible class, so its count never falls
+    ([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]], 6),
+    # every match probability rounds to 0: 1 - 1e-17 == 1.0
+    ([[0.0, 1e-17, 1e-17], [1e-17, 0.0, 1e-17], [1e-17, 1e-17, 0.0]], 4),
+], ids=["isolated-class", "rho-1e-17"])
+def test_stationary_refuses_a_chain_with_no_way_back(tmp_path, capsys, rho, cap):
+    doc = {"model": {**triangle_cfg()["model"], "rho": rho}, "analyze": {"cap": cap}}
+    out = tmp_path / "pi.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", write_cfg(tmp_path, doc), "--out", str(out), "stationary"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: state (0, 0, 1) has no step down: "
+                            "the chain cannot return to the origin from it\n")
+    assert not out.exists()
 
 
 def test_sweep_csv(tmp_path, capsys):

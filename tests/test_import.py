@@ -64,19 +64,27 @@ def test_stationary_loads_its_solver_from_a_cold_start(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 27
 
 
-# Runs in the fresh interpreter: stationary through cli.main, then
-# reachable_check, each followed by the scipy modules loaded so far.
+# Runs in the fresh interpreter: stationary through cli.main, then truncate
+# on a chain it accepts and on one it refuses (class c has no compatible
+# class), each followed by the scipy modules loaded so far.
 STATIONARY_THEN_REACHABILITY = """
 import json, sys
 import sbmatch.cli
-from sbmatch import make_policy, reachable_check, scenarios
+from sbmatch import make_policy, make_spec, scenarios, truncate
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 code = sbmatch.cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "stationary"])
 assert code == 0, code
 after_stationary = loaded()
 tri = scenarios.triangle()
-assert reachable_check(tri, make_policy(tri), 4).all_return
+assert truncate(tri, make_policy(tri), 4).n_states == 125
+iso = make_spec("abc", (0.25, 0.25, 0.5), ((0, 0.5, 0), (0.5, 0, 0), (0, 0, 0)))
+try:
+    truncate(iso, make_policy(iso), 4)
+except ValueError as exc:
+    assert str(exc).startswith("state (0, 0, 1) "), exc
+else:
+    raise AssertionError("the isolated class was accepted")
 print(json.dumps([after_stationary, loaded()]))
 """
 

@@ -17,7 +17,6 @@ from sbmatch import (
     make_policy,
     make_spec,
     propagate_distribution,
-    reachable_check,
 )
 from sbmatch import kernel, scenarios, truncate
 from sbmatch.kernel import (INEQ_TOL, chain_sweep, chain_tables, check_main_drift, drift_q,
@@ -393,37 +392,36 @@ def test_a_bordering_selfloop_class_breaks_only_the_selfloops_step(ell, failures
     assert all(st.passed.all() for _, st in drift_sweep(spec, pol, 16))
 
 
-def test_reachable_check_bipartite_cap(bipartite_spec):
+def test_truncate_accepts_bipartite_at_cap_6(bipartite_spec):
     pol = make_policy(bipartite_spec)
-    rep = reachable_check(bipartite_spec, pol, 6)
-    assert rep.all_return
-    assert rep.unreturned == ()
-    assert rep.states_explored > 0
+    ch = truncate(bipartite_spec, pol, 6)
+    assert scalar_reachable(bipartite_spec, pol, 6) == (ch.n_states, ())
 
 
-def test_reachable_check_single_selfloop(solo_spec):
+def test_truncate_accepts_single_selfloop_at_cap_12(solo_spec):
     pol = make_policy(solo_spec)
-    assert reachable_check(solo_spec, pol, 12).all_return
+    ch = truncate(solo_spec, pol, 12)
+    assert scalar_reachable(solo_spec, pol, 12) == (ch.n_states, ())
 
 
-def test_reachable_check_reports_the_states_with_no_way_back():
+def test_truncate_refuses_the_zero_weight_at_the_first_stuck_state():
     # under a zero weight every arrival targets class 0, the larger alpha:
-    # class 1 is never drained, so every state with x(1) >= 1 is stuck
+    # class 1 is never drained, so every state with x(1) >= 1 is stuck, and
+    # (0, 1) comes first in sorted order
     spec = scenarios.bipartite()
     pol = PolicyConfig(WeightFunction("zero", lambda n, r: 0.0 * n), (2, 1), 1)
-    rep = reachable_check(spec, pol, 3)
-    assert not rep.all_return
-    assert rep.states_explored == 16
-    assert rep.unreturned == tuple((a, b) for a in range(4) for b in range(1, 4))
-    assert (rep.states_explored, rep.unreturned) == scalar_reachable(spec, pol, 3)
+    assert scalar_reachable(spec, pol, 3) == (16, tuple((a, b) for a in range(4)
+                                                        for b in range(1, 4)))
+    with pytest.raises(ValueError, match=r"^state \(0, 1\) has no step down"):
+        truncate(spec, pol, 3)
 
 
-def test_reachable_check_rejects_isolated_class():
+def test_truncate_refuses_an_isolated_class():
     spec = make_spec(("a", "b", "c"), (Fraction(1, 3),) * 3,
                      ((0.0, 0.5, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.0)))
     pol = make_policy(spec)
-    with pytest.raises(KernelError):
-        reachable_check(spec, pol, 5)
+    with pytest.raises(ValueError, match=r"^state \(0, 0, 1\) has no step down"):
+        truncate(spec, pol, 5)
 
 
 def test_propagate_distribution_conserves_mass_and_parity(triangle_spec):
@@ -488,7 +486,6 @@ def test_transition_table_peak_memory_per_box_state():
 # Every entry point that builds or walks the box {0..R}^C, called at radius R.
 BOX_ENTRY_POINTS = {"transition_table": transition_table, "truncate": truncate,
                     "propagate_distribution": propagate_distribution,
-                    "reachable_check": reachable_check,
                     "drift_sweep": drift_sweep, "chain_sweep": chain_sweep}
 
 

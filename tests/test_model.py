@@ -30,6 +30,19 @@ def test_make_spec_rejects_empty_class_list():
 def test_make_spec_rejects_duplicate_labels():
     with pytest.raises(InvalidModelError):
         make_spec(("a", "a"), (0.5, 0.5), ((0.0, 0.5), (0.5, 0.0)))
+    # equal by value though they print differently
+    with pytest.raises(InvalidModelError, match="^duplicate class labels$"):
+        make_spec((1, 1.0), (0.5, 0.5), ((0.0, 0.5), (0.5, 0.0)))
+
+
+@pytest.mark.parametrize("classes,shown", [(("a", float("nan"), float("nan")), "nan"),
+                                           ((1, "1", "b"), "1")], ids=["nan", "1"])
+def test_make_spec_rejects_labels_that_print_alike(classes, shown):
+    # two distinct NaN objects differ by value (nan != nan) and 1 != "1", so
+    # a set keeps both of each pair, but each pair prints alike
+    with pytest.raises(InvalidModelError,
+                       match=f"^class labels must print differently, '{shown}' repeats$"):
+        make_spec(classes, (0.25, 0.25, 0.5), ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)))
 
 
 def test_make_spec_rejects_unnormalized_nu():

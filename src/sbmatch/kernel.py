@@ -565,20 +565,11 @@ def _box_kernel(spec: ModelSpec, policy: PolicyConfig,
     return X, val, offsets
 
 
-def _steps(positive: np.ndarray, cap: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(up, down) of the box kernel, where positive is _box_kernel's val > 0:
-    up[i] and down[i], views of shape (cap + 1,) * C, say at x whether the
-    chain steps from x to x + e_i and to x - e_i.  up[i] is False at
-    x_i = cap and down[i] at x_i = 0."""
-    C = positive.shape[1] // 2
-    shape = (cap + 1,) * C
-    return ([positive[:, 2 * C - i].reshape(shape) for i in range(C)],
-            [positive[:, j].reshape(shape) for j in range(C)])
-
-
-def _reach(up: list[np.ndarray], down: list[np.ndarray]) -> np.ndarray:
-    """The box states that unit steps along up and down (as _steps gives
-    them) reach from the origin, as a flat mask in C order.
+def _reach(positive: np.ndarray, cap: int) -> np.ndarray:
+    """The box states that the chain's unit steps reach from the origin, as a
+    flat mask in C order.  positive is _box_kernel's val > 0 on {0..cap}^C:
+    at x, column 2C - i says whether the chain steps to x + e_i (never at
+    x_i = cap) and column i whether it steps to x - e_i (never at x_i = 0).
 
     A round sweeps every axis up and down.  Along a line of the box, a state
     is reached when a reached state lies below it with a step up from each
@@ -590,13 +581,15 @@ def _reach(up: list[np.ndarray], down: list[np.ndarray]) -> np.ndarray:
     until one adds nothing or every state is reached: the closure of a
     breadth-first search, for O(C N) numpy work per round.
     """
-    C, shape = len(up), up[0].shape
+    C = positive.shape[1] // 2
+    shape = (cap + 1,) * C
     reached = np.zeros(shape, dtype=bool)
     reached[(0,) * C] = True
     sweeps = []
     for i in range(C):
-        k = np.arange(shape[i], dtype=np.int32).reshape([-1 if a == i else 1 for a in range(C)])
-        for R, step in ((reached, up[i]), (np.flip(reached, i), np.flip(down[i], i))):
+        k = np.arange(cap + 1, dtype=np.int32).reshape([-1 if a == i else 1 for a in range(C)])
+        up, down = positive[:, 2 * C - i].reshape(shape), positive[:, i].reshape(shape)
+        for R, step in ((reached, up), (np.flip(reached, i), np.flip(down, i))):
             # the roll brings the last position's step, which is never there, to k = 0
             sweeps.append((i, R, 2 * k + 1, ~np.roll(step, 1, axis=i) * (2 * k)))
     count = 1
@@ -625,7 +618,7 @@ def transition_table(spec: ModelSpec, policy: PolicyConfig,
 
     X, val, offsets = _box_kernel(spec, policy, cap)
     positive = val > 0.0
-    reached = _reach(*_steps(positive, cap))
+    reached = _reach(positive, cap)
     positive[~reached] = False
     index = np.cumsum(reached) - 1  # each reached box state's index among them
     n = index[-1] + 1

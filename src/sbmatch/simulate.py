@@ -183,7 +183,7 @@ class _Choice:
         self.steps = np.hstack([eye, -eye])
         # Under W1, the (class, alpha, field shift) of each class that each
         # arrival class can match; miss's inline argmax over them takes
-        # sweep/w1 about 30% less time than select_class.
+        # sweep/w1 a third less time than the other weights' top_class path.
         self.matchable = [[(j, a, KEY_BITS * j)
                            for j, (r, a) in enumerate(zip(row, policy.alpha)) if r > 0.0]
                           for row in spec.rho] if policy.weight is W1 else None

@@ -82,13 +82,24 @@ ORACLE_CASES = [(name, weight, cap)
 
 
 TRUNCATE_CASES = (ORACLE_CASES + [("bipartite_rho1", W1, 6)]
-                  + [("path3", weight, cap) for weight in (W1, W2) for cap in (4, 12)])
+                  + [("path3", weight, cap) for weight in (W1, W2) for cap in (4, 12)]
+                  + [("match_only", weight, 3) for weight in (W1, W2)])
 
 
 def _case_spec(name):
     # rho = 1 on the bipartite model leaves every state with both counts
     # positive unreachable, so the box is only partly reached
-    return scenarios.bipartite(r=1.0) if name == "bipartite_rho1" else getattr(scenarios, name)()
+    if name == "bipartite_rho1":
+        return scenarios.bipartite(r=1.0)
+    # a triangle with rho_ab = 1, rho_bc = 1/2 and rho_ac = 0: under w1 nine
+    # states, such as (1, 1, 0), are reached only through a match, so the box
+    # is reached only with _reach's downward sweeps and a second round that
+    # adds states (28 of 55 after the first)
+    if name == "match_only":
+        third = Fraction(1, 3)
+        return make_spec(("a", "b", "c"), (third, third, third),
+                         ((0.0, 1.0, 0.0), (1.0, 0.0, 0.5), (0.0, 0.5, 0.0)))
+    return getattr(scenarios, name)()
 
 
 @pytest.mark.parametrize("name,weight,cap", TRUNCATE_CASES, ids=lambda v: getattr(v, "name", v))
@@ -122,7 +133,7 @@ def test_reach_matches_breadth_first_order(name, p, weight, cap):
     pol = make_policy(spec, weight)
     _, val, _ = kernel._box_kernel(spec, pol, cap)
     forward, backward = box_reach(spec, pol, cap)
-    assert np.array_equal(kernel._reach(*kernel._steps(val > 0.0, cap)), forward)
+    assert np.array_equal(kernel._reach(val > 0.0, cap), forward)
     assert backward[forward].all()
 
 
@@ -149,9 +160,10 @@ def test_truncate_refuses_exactly_the_chains_with_no_way_back():
     assert refused > 0
 
 
-# on an unstable model, on a long run (9,261 states, 227 steps) and on a box
-# that is only partly reached, besides ORACLE_CASES
-STATIONARY_CASES = TRUNCATE_CASES + [("path3", W1, 20)]
+# on an unstable model, on a long run (9,261 states, 227 steps), on a solve
+# that restarts on its own (17,576 states, runs of 70 and 97 steps) and on
+# boxes that are only partly reached, besides ORACLE_CASES
+STATIONARY_CASES = TRUNCATE_CASES + [("path3", W1, 20), ("path3", W1, 25)]
 
 
 @pytest.mark.parametrize("name,weight,cap", STATIONARY_CASES, ids=lambda v: getattr(v, "name", v))
@@ -162,6 +174,24 @@ def test_stationary_matches_scipy_bicgstab_bit_for_bit(name, weight, cap):
     pi, iterations = scipy_stationary(ch)
     assert np.array_equal(est.pi.view(np.int64), pi.view(np.int64))
     assert est.iterations == iterations
+
+
+def test_stationary_restarts_on_path3_at_cap_25(monkeypatch):
+    # the one chain in STATIONARY_CASES whose first run stops on its
+    # recursive residual short of the L1 gate, so stationary restarts
+    # without a forced RESIDUAL_TOL
+    solve, steps = analyze._bicgstab, []
+
+    def counted(A, b, x0):
+        x, n = solve(A, b, x0)
+        steps.append(n)
+        return x, n
+
+    monkeypatch.setattr(analyze, "_bicgstab", counted)
+    spec = _case_spec("path3")
+    est = stationary(truncate(spec, make_policy(spec, W1), 25))
+    assert steps == [70, 97] and est.iterations == 167
+    assert est.residual <= analyze.RESIDUAL_TOL
 
 
 def _bits(x):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -43,6 +44,13 @@ def test_make_spec_rejects_labels_that_print_alike(classes, shown):
     with pytest.raises(InvalidModelError,
                        match=f"^class labels must print differently, '{shown}' repeats$"):
         make_spec(classes, (0.25, 0.25, 0.5), ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)))
+
+
+@pytest.mark.parametrize("label", [["a"], ("a", {"b": 1})], ids=["list", "tuple-of-dict"])
+def test_make_spec_rejects_unhashable_labels(label):
+    with pytest.raises(InvalidModelError,
+                       match=f"^class labels must be hashable, got {re.escape(repr(label))}$"):
+        make_spec((label, "b"), (0.5, 0.5), ((0.0, 0.5), (0.5, 0.0)))
 
 
 def test_make_spec_rejects_unnormalized_nu():

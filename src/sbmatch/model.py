@@ -171,7 +171,7 @@ def trial_peak(r: float) -> float:
     return -1.0 / math.log1p(-r) if r < 1.0 else 0.0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def root_graph(spec: ModelSpec) -> RootGraph:
     """Derive the compatibility graph and the constants rho_min and K."""
     n = spec.n_classes
@@ -239,7 +239,7 @@ def independent_sets(graph: RootGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(m for m, _ in _independent_sets(graph, [0] * graph.n_classes))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def stability(spec: ModelSpec) -> StabilityReport:
     """Compute eta = min over non-empty independent sets I of nu(N(I)) - nu(I).
 

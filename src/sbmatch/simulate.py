@@ -134,8 +134,9 @@ class _Choice:
     state ids.
 
     A state x that a path starts from, or that an edge leads to, gets the
-    next C slots of the table, from its base on; the edge of (c, x) sits in
-    slot base + c, None until a miss builds it.  The state's identity stays
+    next C slots of the table, from its base on; enter alone enters a state,
+    and flush alone empties the table.  The edge of (c, x) sits in slot
+    base + c, None until a miss builds it.  The state's identity stays
     its code, sum of x(i) * units[i] with units[i] = 2**(KEY_BITS * i): ids
     maps a code to its base and codes[base // C] is the code of a base.
 
@@ -236,8 +237,8 @@ class _Choice:
 
     def miss(self, slot: int) -> tuple[float, int | None, int, int | None, int]:
         """Build and store the edge of table slot slot."""
-        C, units, table, ids, codes = self.n, self.units, self.table, self.ids, self.codes
-        code, c = codes[slot // C], slot % C
+        C, table = self.n, self.table
+        code, c = self.codes[slot // C], slot % C
         if self.matchable is None:
             x = self.counts(code)
             j = top_class([w[n] for w, n in zip(self.weights[c], x)], self.alpha)
@@ -256,22 +257,8 @@ class _Choice:
         if len(table) + 2 * C > CHOICE_MEMO_MAX:
             self.flush()
             slot = self.enter(code) + c
-        # the successors a probe can reach, entered as enter enters them
-        base_yes = base_no = None
-        if p_yes > 0.0:
-            to = code - units[j]
-            base_yes = ids.get(to)
-            if base_yes is None:
-                base_yes = ids[to] = len(table)
-                codes.append(to)
-                table += self.blank
-        if p_yes < 1.0:
-            to = code + units[c]
-            base_no = ids.get(to)
-            if base_no is None:
-                base_no = ids[to] = len(table)
-                codes.append(to)
-                table += self.blank
+        base_yes = self.enter(code - self.units[j]) if p_yes > 0.0 else None
+        base_no = self.enter(code + self.units[c]) if p_yes < 1.0 else None
         table[slot] = edge = (p_yes, base_yes, C + j, base_no, c)
         return edge
 

@@ -781,6 +781,7 @@ def test_a_null_or_empty_walk_set_walks_nothing(tmp_path, value):
     ("run", "T", "many"),
     ("model", "rho", [[0.0, "x", 0.3], [0.3, 0.0, 0.3], [0.3, 0.3, 0.0]]),
     ("model", "classes", ["a", "nan", math.nan]),   # labels that print alike
+    ("model", "nu", ["1/3", "1/3", "1/2"]),   # exact rates that do not sum to 1
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, section, key, value):
     doc = triangle_cfg()

@@ -1,7 +1,10 @@
 """Model validation, root-graph derivation, and stability margins."""
 
+import gc
+import importlib
 import itertools
 import math
+import pkgutil
 import re
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +21,7 @@ from sbmatch import (
     stability,
     walk_spec,
 )
+import sbmatch
 from sbmatch import scenarios
 
 from conftest import brute_force_eta, random_model
@@ -56,6 +60,9 @@ def test_make_spec_rejects_unhashable_labels(label):
 def test_make_spec_rejects_unnormalized_nu():
     with pytest.raises(InvalidModelError, match="nu not normalized"):
         make_spec(("a", "b"), (0.5, 0.6), ((0.0, 0.5), (0.5, 0.0)))
+    # exact rates are summed exactly
+    with pytest.raises(InvalidModelError, match="^nu not normalized$"):
+        make_spec(("a", "b"), (Fraction(1, 3), Fraction(1, 3)), ((0.0, 0.5), (0.5, 0.0)))
 
 
 def test_make_spec_rejects_nonpositive_nu():
@@ -241,6 +248,40 @@ def test_exact_and_float_rates_share_a_hash_but_not_a_cache_entry(r, exact_first
     assert got[id(approx)] == Fraction(3333333333333333, 10 ** 16)
 
 
+def test_every_package_cache_is_bounded():
+    # an lru_cache without a maxsize keeps every model a loop passes it
+    caches = []
+    for info in pkgutil.iter_modules(sbmatch.__path__, "sbmatch."):
+        module = importlib.import_module(info.name)
+        caches += [(info.name, name) for name, value in vars(module).items()
+                   if callable(getattr(value, "cache_info", None))
+                   and value.cache_parameters()["maxsize"] is None]
+    assert caches == []
+
+
+def test_stability_keeps_no_model_it_has_left():
+    # one report of a 12-class model with one edge lists 3,071 sets in about
+    # 0.3 MB; fifty such reports kept would hold about 15 MB
+    C = 12
+
+    def spec(k):
+        rho = [[0.0] * C for _ in range(C)]
+        rho[0][1] = rho[1][0] = (k + 1) / 100
+        return make_spec(tuple(f"c{i}" for i in range(C)), (Fraction(1, C),) * C, rho)
+
+    stability.cache_clear()
+    root_graph.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(50):
+            assert len(stability(spec(k)).independent_sets) == 3071
+        gc.collect()  # count what is kept, not garbage that awaits a collection
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 5 << 20
+
+
 def test_stability_vacuous_when_no_independent_set(solo_spec):
     rep = stability(solo_spec)
     assert rep.ncond
@@ -316,3 +357,6 @@ def test_walk_spec_rejects_dependent_set(triangle_spec):
         walk_spec(triangle_spec, {0, 1})
     with pytest.raises(ValueError):
         walk_spec(triangle_spec, ())
+    for i in (5, -1):
+        with pytest.raises(InvalidModelError, match=f"^class index {i} out of range$"):
+            walk_spec(triangle_spec, {0, i})

@@ -166,12 +166,25 @@ def test_check_assumption_flags_decreasing_weight():
     rep = check_assumption(bad, n_check=200)
     assert not rep.ok
     assert not rep.hyp2_ok
+    # falling in r only
+    bad = WeightFunction(name="falls", fn=lambda n, r: n * (r > 0) * (2.0 - r))
+    rep = check_assumption(bad, n_check=50)
+    assert not rep.ok
+    assert not rep.hyp2_ok
+    assert rep.violations
+    assert all(v.startswith("not non-decreasing in r between ") for v in rep.violations)
 
 
 def test_check_assumption_flags_wrong_positivity():
     bad = WeightFunction(name="const", fn=lambda n, r: np.ones_like(np.asarray(n, dtype=float)))
     rep = check_assumption(bad, n_check=50)
     assert not rep.hyp1_ok
+    # negative at n = 1
+    bad = WeightFunction(name="neg", fn=lambda n, r: (n > 0) * (r > 0) * (n - 1.5))
+    rep = check_assumption(bad, n_check=50)
+    assert not rep.hyp1_ok
+    assert not rep.nonneg_ok
+    assert any(v.startswith("negative weight at r=") for v in rep.violations)
 
 
 def test_select_class_prefers_positive_weight(bipartite_spec):

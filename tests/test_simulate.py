@@ -322,6 +322,9 @@ def assert_entered_states_are_reachable(choice):
         assert (base_yes is None) == (p_yes == 0.0) and (base_no is None) == (p_yes == 1.0)
         reached.update(b for b in (base_yes, base_no) if b is not None)
     assert reached == set(range(0, len(choice.table), choice.n))
+    # ids and codes stay inverse maps between codes and bases
+    assert choice.ids == {code: k * choice.n for k, code in enumerate(choice.codes)}
+    assert len(choice.table) == choice.n * len(choice.codes)
 
 
 def test_the_table_enters_only_states_a_probe_can_reach():
